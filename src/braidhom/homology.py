@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .linalg import Matrix, as_matrix, mat_mul, rank_exact, rank_numeric, specialize_matrix
+from .linalg import (Matrix, as_matrix, common_ring, mat_mul, rank_exact, rank_numeric,
+                     specialize_matrix)
 from .ring import (
     CoefficientRing,
     ComplexApprox,
@@ -131,10 +132,7 @@ class FiniteChainComplex:
             target, source = self._shape(i)
             if len(b) != target or any(len(row) != source for row in b):
                 raise ValueError(f"boundary {i} is not {target}x{source}")
-            for row in b:
-                for entry in row:
-                    if entry.ring != self.ring:
-                        raise ValueError("boundary entry from a different ring")
+            common_ring(self.ring, b)
         for i in range(len(self.boundaries) - 1):
             if self.direction == "homological":
                 first, second = self.boundaries[i], self.boundaries[i + 1]

@@ -1,15 +1,16 @@
-"""Small exact-matrix helpers over a Laurent ring.
+"""Exact-matrix helpers over a Laurent ring.
 
-Matrices are immutable tuples of tuples of GroupRingElement.  Everything here
-is sized for representation matrices (at most a few dozen rows), so clarity
-beats asymptotics; the one nontrivial routine is fraction-free inversion.
+Matrices are immutable tuples of tuples of GroupRingElement.  Products and
+fraction-free inversion sum each entry in one accumulator with
+`ring.sum_of_products` and check the ring once per matrix.  They skip zero
+entries, since an LKB generator at n = 6 has 28 nonzeros out of 225.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .ring import GroupRingElement, LaurentRing, exact_divide
+from .ring import GroupRingElement, LaurentRing, exact_divide, sum_of_products
 
 Matrix = tuple[tuple[GroupRingElement, ...], ...]
 
@@ -25,21 +26,24 @@ def identity(ring: LaurentRing, size: int) -> Matrix:
     )
 
 
+def common_ring(ring: LaurentRing | None, *matrices: Matrix) -> LaurentRing | None:
+    """The ring of every entry (and `ring`, if given); ValueError on a mix."""
+    for x in (x for m in matrices for row in m for x in row):
+        ring = ring or x.ring
+        if x.ring is not ring and x.ring != ring:
+            raise ValueError(f"ring context mismatch: {ring} vs {x.ring}")
+    return ring
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if len(a[0]) != len(b):
         raise ValueError(f"shape mismatch: {len(a)}x{len(a[0])} times {len(b)}x{len(b[0])}")
-    bt = list(zip(*b))
+    ring = common_ring(None, a, b)
+    cols = [[(i, x) for i, x in enumerate(col) if not x.is_zero()] for col in zip(*b)]
     return tuple(
-        tuple(_dot(row, col) for col in bt)
+        tuple(sum_of_products(ring, [(row[i], x) for i, x in col]) for col in cols)
         for row in a
     )
-
-
-def _dot(row, col):
-    total = row[0] * col[0]
-    for r, c in zip(row[1:], col[1:]):
-        total = total + r * c
-    return total
 
 
 def mat_eq(a: Matrix, b: Matrix) -> bool:
@@ -71,6 +75,7 @@ def invert(a: Matrix, ring: LaurentRing) -> Matrix:
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("only square matrices can be inverted")
+    common_ring(ring, a)
     m = [list(row) + [ring.one if i == j else ring.zero for j in range(n)]
          for i, row in enumerate(a)]
     prev = ring.one
@@ -83,24 +88,22 @@ def invert(a: Matrix, ring: LaurentRing) -> Matrix:
         if pivot_row != k:
             m[k], m[pivot_row] = m[pivot_row], m[k]
         pivot = m[k][k]
+        divide = prev != ring.one
         for i in range(n):
             if i == k:
                 continue
-            factor = m[i][k]
-            divide = not (len(prev.terms) == 1 and prev == ring.one)
+            minus_factor = -m[i][k]
             for j in range(2 * n):
                 if j == k:
                     continue
-                numerator = pivot * m[i][j] - factor * m[k][j]
-                if divide:
-                    quotient = exact_divide(numerator, prev)
-                    if quotient is None:
+                entry = sum_of_products(ring, ((pivot, m[i][j]), (minus_factor, m[k][j])))
+                if divide and not entry.is_zero():
+                    entry = exact_divide(entry, prev)
+                    if entry is None:
                         raise ArithmeticError(
                             "fraction-free elimination produced an inexact division"
                         )
-                else:
-                    quotient = numerator
-                m[i][j] = quotient
+                m[i][j] = entry
             m[i][k] = ring.zero
         prev = pivot
     det = m[n - 1][n - 1]
@@ -116,7 +119,7 @@ def scalar_value(element: GroupRingElement):
     """The coefficient of a rank-0 ring element (a bare scalar)."""
     if element.ring.rank != 0:
         raise ValueError("not a scalar: lattice rank is nonzero")
-    return element.terms.get((), element.ring.coefficients.zero)
+    return element.coefficient(())
 
 
 def specialize_matrix(a: Matrix, assignments: dict, target) -> list[list]:

@@ -24,8 +24,10 @@ chosen.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 Exponents = tuple[int, ...]
 
@@ -46,11 +48,11 @@ class CoefficientRing:
     is_exact: bool = True
     is_field: bool = False
 
-    @property
+    @cached_property
     def zero(self):
         return self.coerce(0)
 
-    @property
+    @cached_property
     def one(self):
         return self.coerce(1)
 
@@ -281,7 +283,7 @@ class LaurentRing:
             if exps in clean:
                 c = k.add(clean[exps], c)
             clean[exps] = c
-        clean = {e: c for e, c in clean.items() if c != k.zero}
+        clean = {e: c for e, c in clean.items() if not k.is_zero(c)}
         return GroupRingElement(self, clean)
 
     @property
@@ -342,7 +344,7 @@ class GroupRingElement:
 
     def is_zero(self) -> bool:
         k = self.ring.coefficients
-        return all(k.is_zero(c) for c in self.terms.values())
+        return not self.terms or all(k.is_zero(c) for c in self.terms.values())
 
     def coefficient(self, exponents: Exponents):
         return self.terms.get(tuple(exponents), self.ring.coefficients.zero)
@@ -351,7 +353,7 @@ class GroupRingElement:
         return sorted(self.terms)
 
     def _check_context(self, other: GroupRingElement):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise ValueError(
                 f"ring context mismatch: {self.ring} vs {other.ring}"
             )
@@ -370,14 +372,7 @@ class GroupRingElement:
         other = self._coerce_operand(other)
         if other is NotImplemented:
             return NotImplemented
-        k = self.ring.coefficients
-        terms = dict(self.terms)
-        for exps, c in other.terms.items():
-            s = k.add(terms.get(exps, k.zero), c)
-            if s == k.zero:
-                terms.pop(exps, None)
-            else:
-                terms[exps] = s
+        terms = _accumulate(self.ring.coefficients, dict(self.terms), other.terms)
         return GroupRingElement(self.ring, terms)
 
     __radd__ = __add__
@@ -402,16 +397,7 @@ class GroupRingElement:
         other = self._coerce_operand(other)
         if other is NotImplemented:
             return NotImplemented
-        k = self.ring.coefficients
-        terms: dict[Exponents, object] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = k.add(terms.get(e, k.zero), k.mul(c1, c2))
-                if s == k.zero:
-                    terms.pop(e, None)
-                else:
-                    terms[e] = s
+        terms = _product(self.ring.coefficients, self.terms, other.terms)
         return GroupRingElement(self.ring, terms)
 
     __rmul__ = __mul__
@@ -435,7 +421,7 @@ class GroupRingElement:
             other = self.ring.scalar(other)
         if not isinstance(other, GroupRingElement):
             return NotImplemented
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             return False
         if self.ring.coefficients.is_exact:
             return self.terms == other.terms
@@ -592,6 +578,48 @@ def _looks_numeric(chunk: str, k: CoefficientRing) -> bool:
         return False
 
 
+def _product(k: CoefficientRing, f: dict, g: dict) -> dict:
+    """The term map of a product, a sum that reaches zero dropped as it does."""
+    add, mul, is_zero, zero = k.add, k.mul, k.is_zero, k.zero
+    terms: dict[Exponents, object] = {}
+    g_terms = g.items()
+    for e1, c1 in f.items():
+        for e2, c2 in g_terms:
+            e = tuple(map(operator.add, e1, e2))
+            s = add(terms.get(e, zero), mul(c1, c2))
+            if is_zero(s):
+                terms.pop(e, None)
+            else:
+                terms[e] = s
+    return terms
+
+
+def _accumulate(k: CoefficientRing, acc: dict, terms: dict) -> dict:
+    """Add the term map `terms` into `acc` in place, dropping zero sums."""
+    add, is_zero, zero = k.add, k.is_zero, k.zero
+    for e, c in terms.items():
+        s = add(acc.get(e, zero), c)
+        if is_zero(s):
+            acc.pop(e, None)
+        else:
+            acc[e] = s
+    return acc
+
+
+def sum_of_products(ring: LaurentRing, pairs) -> GroupRingElement:
+    """Sum of f*g over (f, g) pairs from `ring`; callers check the ring once per matrix.
+
+    Each product merges into one accumulator in place, so no partial sum is copied.
+    Terms keep the order the operators give: float sums over them do not change.
+    """
+    k = ring.coefficients
+    acc: dict[Exponents, object] = {}
+    for f, g in pairs:
+        if f.terms and g.terms:
+            _accumulate(k, acc, _product(k, f.terms, g.terms))
+    return GroupRingElement(ring, acc)
+
+
 # ---------------------------------------------------------------------------
 # exact division
 # ---------------------------------------------------------------------------
@@ -604,10 +632,10 @@ def exact_divide(f: GroupRingElement, g: GroupRingElement) -> GroupRingElement |
     true quotient is confined to the per-coordinate box
     [min(f) - min(g), max(f) - max(g)] (supports add when polynomials
     multiply), so a candidate quotient exponent escaping the box proves
-    non-divisibility.  Over the integers the division runs through the
-    rationals and the quotient is then checked for integrality.
+    non-divisibility.  Over the integers every leading coefficient must
+    divide exactly, since the remainder stays a multiple of g.
     """
-    if f.ring != g.ring:
+    if f.ring is not g.ring and f.ring != g.ring:
         raise ValueError("ring context mismatch")
     k = f.ring.coefficients
     if not k.is_domain:
@@ -616,15 +644,6 @@ def exact_divide(f: GroupRingElement, g: GroupRingElement) -> GroupRingElement |
         raise ZeroDivisionError("division by the zero element")
     if f.is_zero():
         return f.ring.zero
-
-    if isinstance(k, Integers):
-        rational = LaurentRing(f.ring.rank, Rationals(), f.ring.variables)
-        fq = rational.element(dict(f.terms))
-        gq = rational.element(dict(g.terms))
-        q = exact_divide(fq, gq)
-        if q is None or any(c.denominator != 1 for c in q.terms.values()):
-            return None
-        return f.ring.element({e: int(c) for e, c in q.terms.items()})
 
     rank = f.ring.rank
     f_exps, g_exps = list(f.terms), list(g.terms)
@@ -639,16 +658,22 @@ def exact_divide(f: GroupRingElement, g: GroupRingElement) -> GroupRingElement |
 
     g_lead = max(g.terms)
     g_lead_coeff = g.terms[g_lead]
-    remainder = f
+    inverse = None if isinstance(k, Integers) else k.invert(g_lead_coeff)
+    remainder = dict(f.terms)
     quotient: dict[Exponents, object] = {}
-    while not remainder.is_zero():
-        r_lead = max(remainder.terms)
+    while remainder:
+        r_lead = max(remainder)
         q_exp = tuple(a - b for a, b in zip(r_lead, g_lead))
         if any(q < a or q > b for q, a, b in zip(q_exp, lo, hi)) or q_exp in quotient:
             return None
-        q_coeff = k.mul(remainder.terms[r_lead], k.invert(g_lead_coeff))
+        if inverse is None:
+            q_coeff, rest = divmod(remainder[r_lead], g_lead_coeff)
+            if rest:
+                return None
+        else:
+            q_coeff = k.mul(remainder[r_lead], inverse)
         quotient[q_exp] = q_coeff
-        remainder = remainder - f.ring.monomial(q_exp, q_coeff) * g
+        _accumulate(k, remainder, _product(k, {q_exp: k.neg(q_coeff)}, g.terms))
     return f.ring.element(quotient)
 
 

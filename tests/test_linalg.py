@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidhom.linalg import (
     as_matrix,
@@ -17,10 +19,57 @@ from braidhom.linalg import (
     specialize_matrix,
     transpose,
 )
-from braidhom.ring import Integers, LaurentRing, Rationals
+from braidhom.ring import ComplexApprox, Integers, IntegersModP, LaurentRing, Rationals
 
 ZZ = LaurentRing(2, Integers(), ("x", "d"))
 X, D = ZZ.var("x"), ZZ.var("d")
+QQ = LaurentRing(2, Rationals(), ("x", "d"))
+F7 = LaurentRing(2, IntegersModP(7), ("x", "d"))
+CC = LaurentRing(2, ComplexApprox(), ("x", "d"))
+
+
+def reference_mat_mul(a, b):
+    """Entry-by-entry product through the ring operators: a test oracle.
+
+    Each entry is a chain of GroupRingElement `*` and `+`, so the oracle shares
+    only the term arithmetic of one product and one sum with mat_mul (checked
+    against ring identities in test_ring.py), not the accumulation, the zero
+    skipping or the per-matrix ring check.
+    """
+    if len(a[0]) != len(b):
+        raise ValueError("shape mismatch")
+    return tuple(tuple(_reference_dot(row, col) for col in zip(*b)) for row in a)
+
+
+def _reference_dot(row, col):
+    total = row[0] * col[0]
+    for r, c in zip(row[1:], col[1:]):
+        total = total + r * c
+    return total
+
+
+COEFFICIENTS = {
+    ZZ: st.integers(-4, 4),
+    QQ: st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    F7: st.integers(-10, 10),
+    CC: st.builds(complex, st.integers(-8, 8).map(lambda v: v / 4),
+                  st.integers(-8, 8).map(lambda v: v / 4)),
+}
+
+
+@st.composite
+def matrices(draw, ring, rows, cols):
+    """Sparse matrices with negative exponents and one optional all-zero row and column."""
+    entry = st.dictionaries(
+        st.tuples(st.integers(-2, 2), st.integers(-2, 2)), COEFFICIENTS[ring], max_size=3
+    ).map(ring.element)
+    cells = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+    zero_row = draw(st.integers(0, rows))
+    zero_col = draw(st.integers(0, cols))
+    return as_matrix(
+        [ring.zero if i == zero_row or j == zero_col else x for j, x in enumerate(row)]
+        for i, row in enumerate(cells)
+    )
 
 
 def random_unimodular(ring, size, rng, steps=6):
@@ -51,6 +100,28 @@ def test_mat_mul_shape_check():
         mat_mul(a, a)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from([ZZ, QQ, F7, CC]),
+       st.integers(1, 4), st.integers(1, 5), st.integers(1, 4))
+def test_mat_mul_matches_reference(data, ring, rows, inner, cols):
+    a = data.draw(matrices(ring, rows, inner))
+    b = data.draw(matrices(ring, inner, cols))
+    product = mat_mul(a, b)
+    assert len(product) == rows and all(len(row) == cols for row in product)
+    assert product == reference_mat_mul(a, b)
+
+
+def test_mat_mul_rejects_mixed_rings():
+    a = as_matrix([[X, ZZ.one], [ZZ.zero, D]])
+    b = as_matrix([[QQ.one, QQ.zero], [QQ.var("x"), QQ.one]])
+    with pytest.raises(ValueError):
+        mat_mul(a, b)
+    with pytest.raises(ValueError):
+        mat_mul(as_matrix([[X, QQ.one]]), identity(ZZ, 2))
+    with pytest.raises(ValueError):
+        invert(a, QQ)
+
+
 def test_transpose_and_alpha():
     a = as_matrix([[X, ZZ.one + D], [ZZ.zero, X ** -2]])
     assert transpose(transpose(a)) == a
@@ -66,6 +137,7 @@ def test_invert_unimodular_matrices():
         for _ in range(5):
             a = random_unimodular(ZZ, size, rng)
             inverse = invert(a, ZZ)
+            assert mat_eq(reference_mat_mul(a, inverse), identity(ZZ, size))
             assert mat_eq(mat_mul(a, inverse), identity(ZZ, size))
             assert mat_eq(mat_mul(inverse, a), identity(ZZ, size))
 

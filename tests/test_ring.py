@@ -5,6 +5,8 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from braidhom.ring import (
     ComplexApprox,
@@ -96,6 +98,37 @@ def test_exact_divide_recovers_quotients():
     assert exact_divide(ZZ.one, ZZ.one + x) is None
 
 
+def _small_elements(ring):
+    return st.dictionaries(
+        st.tuples(st.integers(-2, 2), st.integers(-2, 2)), st.integers(-6, 6), max_size=4
+    ).map(ring.element)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_small_elements(ZZ), _small_elements(ZZ), _small_elements(ZZ), st.integers(2, 3))
+def test_integer_division_agrees_with_rational_division(f, g, h, scale):
+    # Over Z, a quotient exists exactly when the quotient over Q has integer
+    # coefficients, and then the two are equal.
+    assume(not g.is_zero())
+    QQ = LaurentRing(2, Rationals(), ("x", "d"))
+
+    def rational(e):
+        return QQ.element({exps: e.coefficient(exps) for exps in e.support()})
+
+    for numerator in (f * g, f * g * scale + h, f * g * scale):
+        for divisor in (g, g * scale):
+            quotient = exact_divide(numerator, divisor)
+            over_q = exact_divide(rational(numerator), rational(divisor))
+            assert over_q is not None or quotient is None
+            if over_q is not None and all(
+                over_q.coefficient(e).denominator == 1 for e in over_q.support()
+            ):
+                assert quotient is not None and rational(quotient) == over_q
+                assert quotient * divisor == numerator
+            else:
+                assert quotient is None
+
+
 def test_exact_divide_over_finite_fields():
     F5 = LaurentRing(1, IntegersModP(5), ("x",))
     x = F5.var("x")
@@ -147,6 +180,18 @@ def test_complex_approx_refuses_unit_questions():
         CA.var("x").is_unit()
     with pytest.raises(ValueError):
         CA.var("x").is_non_zero_divisor()
+
+
+def test_complex_approx_drops_rounding_residue():
+    # 0.1 + 0.2 - 0.3 leaves 5.55e-17, inside the tolerance: one zero test
+    # decides both what is stored and what is_zero reports.
+    CA = LaurentRing(1, ComplexApprox(), ("x",))
+    x = CA.var("x")
+    residue = x * 0.1 + x * 0.2 - x * 0.3
+    assert residue.is_zero()
+    assert residue.to_text() == "0"
+    assert (x * 0.1 * (x * 0.2) - x ** 2 * 0.02).to_text() == "0"
+    assert CA.element({(1,): 1e-17, (2,): 1}).to_text() == "x^2"
 
 
 def test_quantum_integers_small_values():
