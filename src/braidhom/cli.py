@@ -641,10 +641,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    except OSError as error:
+    except (ValueError, OSError, ArithmeticError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
 

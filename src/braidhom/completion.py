@@ -147,7 +147,7 @@ def module_action(r: GroupRingElement, c: CompletedElement) -> CompletedElement:
         raise ValueError("scalar from a different ring")
     k = c.ring.coefficients
     rays = []
-    for exps, coeff in sorted(r.terms.items()):
+    for exps, coeff in r.items():
         for ray in c.rays:
             pattern = tuple(k.mul(coeff, k.coerce(p)) for p in ray.pattern)
             if all(k.is_zero(p) for p in pattern):
@@ -263,7 +263,7 @@ def to_group_ring(c: CompletedElement) -> GroupRingElement:
     if not is_in_group_ring(c):
         raise ValueError("support is infinite; not in the group ring")
     k = c.ring.coefficients
-    terms = dict(c.finite.terms)
+    terms = dict(c.finite.items())
     for line in _lines(c):
         low, high = line.offsets()
         for position in range(low, high + 1):

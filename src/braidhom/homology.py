@@ -417,11 +417,19 @@ def complex_to_json(cpx: FiniteChainComplex) -> dict:
 
 
 def complex_from_json(data: dict) -> FiniteChainComplex:
-    if data.get("schema") != 1:
+    """Read what complex_to_json writes; a missing or ill-typed field is a ValueError."""
+    if not isinstance(data, dict) or data.get("schema") != 1:
         raise ValueError("unsupported schema version")
     name = data.get("coefficients", "integers")
-    if name not in _COEFFICIENTS:
+    if not isinstance(name, str) or name not in _COEFFICIENTS:
         raise ValueError(f"unsupported coefficients: {name!r}")
+    for field, kind in (("variables", str), ("ranks", int), ("boundaries", list)):
+        value = data.get(field)
+        if not isinstance(value, list) or not all(isinstance(x, kind) for x in value):
+            raise ValueError(f"complex field {field!r} must be a list of {kind.__name__}")
+    rows = [row for boundary in data["boundaries"] for row in boundary]
+    if not all(isinstance(row, list) and all(isinstance(t, str) for t in row) for row in rows):
+        raise ValueError("complex field 'boundaries' must hold rows of strings")
     variables = tuple(data["variables"])
     ring = LaurentRing(len(variables), _COEFFICIENTS[name](), variables)
     boundaries = tuple(

@@ -3,9 +3,13 @@
 The ring R = k[Z^d] of Laurent polynomials in d commuting variables is the
 coefficient ring underlying every other module in this package: group rings of
 deck transformation groups, scalars of intersection pairings, entries of braid
-matrices.  Elements are stored sparsely as a map from exponent vectors (tuples
-of d signed integers, the group Z^d written additively) to nonzero
-coefficients.
+matrices.  Elements are stored sparsely as a map from packed integer keys to
+nonzero coefficients: exponent vector e in Z^d has key sum_i e_i * 2^(64*(d-1-i)),
+which is linear (monomial products add keys) and ordered as the vectors in lex
+order.  `element`, `monomial`, `parse`, `from_json_terms` and `**` reject exponents
+beyond EXPONENT_BOUND = 2^31 - 1; arithmetic is exact while they stay within 2^63.
+A product with a one-term factor (most braid generator entries) is one shift and
+scale.  Other modules see exponents as tuples (`coefficient`, `support`, `items`).
 
 Supported coefficient rings k: the integers, the rationals, the integers mod a
 prime, and tolerance-based complex floats.  The first three are integral
@@ -30,6 +34,10 @@ from fractions import Fraction
 from functools import cached_property
 
 Exponents = tuple[int, ...]
+
+EXPONENT_BOUND = 2**31 - 1
+_WIDTH = 64  # bits per coordinate of a packed key
+_HALF, _MASK = 1 << (_WIDTH - 1), (1 << _WIDTH) - 1  # centred digits lie in [-_HALF, _HALF)
 
 
 # ---------------------------------------------------------------------------
@@ -59,17 +67,11 @@ class CoefficientRing:
     def coerce(self, value):
         raise NotImplementedError
 
-    def add(self, a, b):
-        return a + b
+    add = staticmethod(operator.add)
+    mul = staticmethod(operator.mul)
+    neg = staticmethod(operator.neg)
 
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def is_zero(self, a) -> bool:
-        return a == 0
+    is_zero = staticmethod(operator.not_)
 
     def is_unit(self, a) -> bool:
         raise NotImplementedError
@@ -274,17 +276,27 @@ class LaurentRing:
     def element(self, terms: dict) -> GroupRingElement:
         """Build an element from {exponent tuple: coefficient}, canonicalizing."""
         k = self.coefficients
-        clean: dict[Exponents, object] = {}
-        for exps, coeff in terms.items():
-            exps = tuple(exps)
-            if len(exps) != self.rank or not all(isinstance(e, int) for e in exps):
-                raise ValueError(f"bad exponent vector {exps!r} for rank {self.rank}")
-            c = k.coerce(coeff)
-            if exps in clean:
-                c = k.add(clean[exps], c)
-            clean[exps] = c
-        clean = {e: c for e, c in clean.items() if not k.is_zero(c)}
-        return GroupRingElement(self, clean)
+        clean = {self._pack(exps): k.coerce(coeff) for exps, coeff in terms.items()}
+        return GroupRingElement(self, {e: c for e, c in clean.items() if not k.is_zero(c)})
+
+    def _pack(self, exps, bound: int = EXPONENT_BOUND) -> int:
+        exps = tuple(exps)
+        key = 0
+        for e in exps:
+            if not (isinstance(e, int) and -bound <= e <= bound):
+                break
+            key = (key << _WIDTH) + e
+        else:
+            if len(exps) == self.rank:
+                return key
+        raise ValueError(f"bad exponent vector {exps!r} for rank {self.rank} (bound {bound})")
+
+    def _unpack(self, key: int) -> Exponents:
+        low = []  # centred digits, last coordinate first
+        for _ in range(self.rank - 1):
+            low.append(((key + _HALF) & _MASK) - _HALF)
+            key = (key - low[-1]) >> _WIDTH
+        return (key, *reversed(low)) if self.rank else ()
 
     @property
     def zero(self) -> GroupRingElement:
@@ -343,14 +355,17 @@ class GroupRingElement:
     # -- basics -------------------------------------------------------------
 
     def is_zero(self) -> bool:
-        k = self.ring.coefficients
-        return not self.terms or all(k.is_zero(c) for c in self.terms.values())
+        return not self.terms
 
     def coefficient(self, exponents: Exponents):
-        return self.terms.get(tuple(exponents), self.ring.coefficients.zero)
+        return self.terms.get(self.ring._pack(exponents, _HALF - 1), self.ring.coefficients.zero)
 
     def support(self) -> list[Exponents]:
-        return sorted(self.terms)
+        return [self.ring._unpack(e) for e in sorted(self.terms)]
+
+    def items(self) -> list[tuple[Exponents, object]]:
+        """(exponent tuple, coefficient) pairs in ascending lex order."""
+        return [(self.ring._unpack(e), c) for e, c in sorted(self.terms.items())]
 
     def _check_context(self, other: GroupRingElement):
         if self.ring is not other.ring and self.ring != other.ring:
@@ -405,6 +420,9 @@ class GroupRingElement:
     def __pow__(self, n: int):
         if not isinstance(n, int):
             return NotImplemented
+        largest = max((abs(e) for key in self.terms for e in self.ring._unpack(key)), default=0)
+        if largest * abs(n) > EXPONENT_BOUND:
+            raise ValueError(f"power {n} takes an exponent beyond {EXPONENT_BOUND}")
         if n < 0:
             return self.inverse() ** (-n)
         result = self.ring.one
@@ -433,9 +451,7 @@ class GroupRingElement:
 
     def alpha(self) -> GroupRingElement:
         """The canonical involution: negate every exponent vector (g -> g^-1)."""
-        return GroupRingElement(
-            self.ring, {tuple(-e for e in exps): c for exps, c in self.terms.items()}
-        )
+        return GroupRingElement(self.ring, {-e: c for e, c in self.terms.items()})
 
     def is_unit(self) -> bool:
         """Whether this element is invertible in k[Z^d].
@@ -470,9 +486,8 @@ class GroupRingElement:
         """Invert a unit (a single monomial with unit coefficient)."""
         if not self.is_unit():
             raise ValueError(f"not a unit: {self}")
-        ((exps, coeff),) = self.terms.items()
-        k = self.ring.coefficients
-        return self.ring.monomial(tuple(-e for e in exps), k.invert(coeff))
+        ((key, coeff),) = self.terms.items()
+        return GroupRingElement(self.ring, {-key: self.ring.coefficients.invert(coeff)})
 
     def specialize(self, assignments: dict, target: CoefficientRing) -> GroupRingElement:
         """Substitute a numeric value for every variable.
@@ -487,9 +502,9 @@ class GroupRingElement:
         values = [target.coerce(assignments[v]) for v in self.ring.variables]
         out = LaurentRing(0, target)
         total = target.zero
-        for exps, coeff in self.terms.items():
+        for key, coeff in self.terms.items():
             term = target.coerce(coeff)
-            for value, e in zip(values, exps):
+            for value, e in zip(values, self.ring._unpack(key)):
                 term = target.mul(term, target.power(value, e))
             total = target.add(total, term)
         return out.scalar(total)
@@ -502,8 +517,8 @@ class GroupRingElement:
             return "0"
         k = self.ring.coefficients
         pieces: list[tuple[int, str]] = []
-        for exps in sorted(self.terms):
-            sign, mag = k.split_sign(self.terms[exps])
+        for exps, coeff in self.items():
+            sign, mag = k.split_sign(coeff)
             mono = "*".join(
                 v if e == 1 else f"{v}^{e}"
                 for v, e in zip(self.ring.variables, exps)
@@ -525,8 +540,8 @@ class GroupRingElement:
     def to_json_terms(self) -> list:
         k = self.ring.coefficients
         return [
-            {"exponents": list(exps), "coeff": k.to_str(self.terms[exps])}
-            for exps in sorted(self.terms)
+            {"exponents": list(exps), "coeff": k.to_str(coeff)}
+            for exps, coeff in self.items()
         ]
 
     def __repr__(self):
@@ -579,13 +594,22 @@ def _looks_numeric(chunk: str, k: CoefficientRing) -> bool:
 
 
 def _product(k: CoefficientRing, f: dict, g: dict) -> dict:
-    """The term map of a product, a sum that reaches zero dropped as it does."""
-    add, mul, is_zero, zero = k.add, k.mul, k.is_zero, k.zero
-    terms: dict[Exponents, object] = {}
+    """The term map of a product, a sum that reaches zero dropped as it does.
+
+    Over an integral domain a one-term factor only shifts and scales the other.
+    """
+    mul = k.mul
+    if k.is_domain and min(len(f), len(g)) == 1:
+        if len(f) != 1:
+            f, g = g, f
+        ((e1, c1),) = f.items()
+        return {e1 + e2: mul(c1, c2) for e2, c2 in g.items()}
+    add, is_zero, zero = k.add, k.is_zero, k.zero
+    terms: dict[int, object] = {}
     g_terms = g.items()
     for e1, c1 in f.items():
         for e2, c2 in g_terms:
-            e = tuple(map(operator.add, e1, e2))
+            e = e1 + e2
             s = add(terms.get(e, zero), mul(c1, c2))
             if is_zero(s):
                 terms.pop(e, None)
@@ -609,14 +633,15 @@ def _accumulate(k: CoefficientRing, acc: dict, terms: dict) -> dict:
 def sum_of_products(ring: LaurentRing, pairs) -> GroupRingElement:
     """Sum of f*g over (f, g) pairs from `ring`; callers check the ring once per matrix.
 
-    Each product merges into one accumulator in place, so no partial sum is copied.
+    A product landing on an empty accumulator becomes it; the rest merge in place.
     Terms keep the order the operators give: float sums over them do not change.
     """
     k = ring.coefficients
-    acc: dict[Exponents, object] = {}
+    acc: dict[int, object] = {}
     for f, g in pairs:
         if f.terms and g.terms:
-            _accumulate(k, acc, _product(k, f.terms, g.terms))
+            product = _product(k, f.terms, g.terms)
+            acc = _accumulate(k, acc, product) if acc else product
     return GroupRingElement(ring, acc)
 
 
@@ -645,8 +670,8 @@ def exact_divide(f: GroupRingElement, g: GroupRingElement) -> GroupRingElement |
     if f.is_zero():
         return f.ring.zero
 
-    rank = f.ring.rank
-    f_exps, g_exps = list(f.terms), list(g.terms)
+    rank, unpack = f.ring.rank, f.ring._unpack
+    f_exps, g_exps = [unpack(e) for e in f.terms], [unpack(e) for e in g.terms]
     lo = tuple(
         min(e[i] for e in f_exps) - min(e[i] for e in g_exps) for i in range(rank)
     )
@@ -660,11 +685,11 @@ def exact_divide(f: GroupRingElement, g: GroupRingElement) -> GroupRingElement |
     g_lead_coeff = g.terms[g_lead]
     inverse = None if isinstance(k, Integers) else k.invert(g_lead_coeff)
     remainder = dict(f.terms)
-    quotient: dict[Exponents, object] = {}
+    quotient: dict[int, object] = {}
     while remainder:
         r_lead = max(remainder)
-        q_exp = tuple(a - b for a, b in zip(r_lead, g_lead))
-        if any(q < a or q > b for q, a, b in zip(q_exp, lo, hi)) or q_exp in quotient:
+        q_exp = r_lead - g_lead
+        if q_exp in quotient or any(q < a or q > b for q, a, b in zip(unpack(q_exp), lo, hi)):
             return None
         if inverse is None:
             q_coeff, rest = divmod(remainder[r_lead], g_lead_coeff)
@@ -674,7 +699,7 @@ def exact_divide(f: GroupRingElement, g: GroupRingElement) -> GroupRingElement |
             q_coeff = k.mul(remainder[r_lead], inverse)
         quotient[q_exp] = q_coeff
         _accumulate(k, remainder, _product(k, {q_exp: k.neg(q_coeff)}, g.terms))
-    return f.ring.element(quotient)
+    return GroupRingElement(f.ring, quotient)
 
 
 # ---------------------------------------------------------------------------

@@ -321,7 +321,7 @@ def test_criterion_12_completion_and_helix():
     for a in range(-(n - 1), n):
         for b in range(-(n - 1), n):
             assert coordinate.coefficient_at((a, b)) == \
-                truncated.terms.get((a, b), 0)
+                truncated.coefficient((a, b))
     assert not is_in_group_ring(coordinate)
 
     rng = random.Random(23)

@@ -192,6 +192,58 @@ def test_homology_requires_assignments_when_variables_exist(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("data", [
+    {"schema": 1, "ranks": [1]},
+    {"schema": 1, "variables": "x", "ranks": [1, 1], "boundaries": [[["x - 1"]]]},
+    {"schema": 1, "variables": ["x"], "ranks": [1, "1"], "boundaries": [[["x - 1"]]]},
+    {"schema": 1, "variables": ["x"], "ranks": [1, 1], "boundaries": [["x - 1"]]},
+    {"schema": 1, "variables": ["x"], "ranks": [1, 1], "boundaries": [[[1]]]},
+    {"schema": 1, "coefficients": ["integers"], "variables": ["x"], "ranks": [1]},
+    [1, 2],
+])
+def test_homology_malformed_complex_is_one_error_line(tmp_path, capsys, data):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "homology", "--complex", str(path), "--at", "x=2")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_homology_exponent_beyond_the_bound_is_one_error_line(tmp_path, capsys):
+    data = complex_to_json(circle_complex(LaurentRing(1, Integers(), ("x",)).var("x")))
+    data["boundaries"][0][0][0] = "x^2147483648 - 1"
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "homology", "--complex", str(path), "--at", "x=2")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "2147483647" in err
+
+
+# Float specializations sum terms in the order products emit them, so any change
+# of that order shows in the last digits of these bytes.
+FROZEN_COMPLEX_REP = (
+    '{"convention": "lkb/q=x,t=-d/arc-basis", "m": 2, "n": 3, "rows": ['
+    '["(2.4612375510204085-5.764459591836738j)", "(1.5143482855983672-2.176133636403266j)", '
+    '"(0.16388696169728023-0.1772272862664686j)"], '
+    '["(-4.918367346938773+24.755102040816325j)", "(-4.171503836734692+9.817781306122455j)", '
+    '"(-0.5003659234285713+0.8311812217142859j)"], '
+    '["(6.122448979591795-114.28571428571433j)", "(12.46516326530611-46.68304081632654j)", '
+    '"(1.7228662857142876-4.035121714285717j)"]], "schema": 1}\n'
+)
+
+
+def test_rep_complex_specialization_keeps_its_term_order(capsys):
+    code, out, _ = run(
+        capsys, "rep", "--n", "3", "--m", "2", "--word=1,1,-2,1,-2,-2,2,1,2",
+        "--specialize", "x=0.3+0.1j,d=0.7",
+    )
+    assert code == 0
+    assert out == FROZEN_COMPLEX_REP
+
+
 def test_helix_output(capsys):
     code, out, _ = run(
         capsys, "helix", "--surface", "0,3,0", "--m", "1",

@@ -104,7 +104,7 @@ def test_module_action_matches_convolution_coefficients():
             g = (rng.randint(-6, 6), rng.randint(-6, 6))
             expected = sum(
                 coeff * c.coefficient_at((g[0] - h[0], g[1] - h[1]))
-                for h, coeff in r.terms.items()
+                for h, coeff in r.items()
             )
             assert moved.coefficient_at(g) == expected
 
@@ -151,7 +151,7 @@ def test_helix_matches_brute_force_window():
     for a in range(-(n - 1), n):
         for b in range(-(n - 1), n):
             assert coordinate.coefficient_at((a, b)) == \
-                truncated.terms.get((a, b), 0)
+                truncated.coefficient((a, b))
 
 
 def test_helix_is_not_in_the_group_ring():

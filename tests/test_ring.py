@@ -5,10 +5,13 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from sympy.parsing.sympy_parser import convert_xor, parse_expr, standard_transformations
 
 from braidhom.ring import (
+    EXPONENT_BOUND,
     ComplexApprox,
     Integers,
     IntegersModP,
@@ -127,6 +130,85 @@ def test_integer_division_agrees_with_rational_division(f, g, h, scale):
                 assert quotient * divisor == numerator
             else:
                 assert quotient is None
+
+
+@st.composite
+def _term_maps(draw, rank):
+    """{exponent tuple: integer} with exponents in -6..6, now and then at the bound."""
+    exponent = st.integers(-6, 6) | st.sampled_from([-EXPONENT_BOUND, EXPONENT_BOUND])
+    return draw(st.dictionaries(
+        st.tuples(*[exponent] * rank), st.integers(-5, 5).filter(bool), max_size=4
+    ))
+
+
+def _sympy_of(terms, symbols):
+    """The oracle's own reading of a term map: a sympy expression."""
+    return sympy.expand(sum(
+        (c * sympy.Mul(*[s ** e for s, e in zip(symbols, exps)]) for exps, c in terms),
+        sympy.Integer(0),
+    ))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda r: st.tuples(st.just(r), _term_maps(r), _term_maps(r))))
+def test_laurent_arithmetic_agrees_with_sympy(case):
+    rank, f_terms, g_terms = case
+    ring = LaurentRing(rank, Integers())
+    symbols = sympy.symbols(ring.variables)
+    names = dict(zip(ring.variables, symbols))
+    f, g = ring.element(f_terms), ring.element(g_terms)
+    sf, sg = _sympy_of(f_terms.items(), symbols), _sympy_of(g_terms.items(), symbols)
+
+    def same(element, expected):
+        assert sympy.expand(_sympy_of(element.items(), symbols) - expected) == 0
+
+    assert f.support() == sorted(f_terms)
+    same(f + g, sf + sg)
+    same(f - g, sf - sg)
+    same(f * g, sf * sg)
+    same(f.alpha(), sf.xreplace({s: 1 / s for s in symbols}))
+    if g_terms:
+        quotient = exact_divide(f * g, g)
+        assert quotient is not None
+        same(quotient, sf)
+    text = f.to_text()
+    assert ring.parse(text) == f
+    transformations = standard_transformations + (convert_xor,)
+    assert sympy.expand(parse_expr(text, names, transformations) - sf) == 0
+
+
+def test_exponents_beyond_the_bound_are_rejected():
+    big = EXPONENT_BOUND + 1
+    for build in (
+        lambda: ZZ.element({(big, 0): 1}),
+        lambda: ZZ.monomial((0, -big)),
+        lambda: ZZ.parse(f"3*x^{big} + d"),
+        lambda: ZZ.from_json_terms([{"exponents": [0, big], "coeff": "1"}]),
+        lambda: ZZ.var("x") ** big,
+        lambda: ZZ.var("d") ** -big,
+        lambda: (ZZ.var("x") ** 2 + 1) ** (big // 2),
+    ):
+        with pytest.raises(ValueError):
+            build()
+    x = ZZ.var("x")
+    assert (x ** EXPONENT_BOUND).support() == [(EXPONENT_BOUND, 0)]
+    assert (x ** -EXPONENT_BOUND).alpha() == x ** EXPONENT_BOUND
+
+
+_complex_coefficients = st.sampled_from(
+    [0.1, 0.2, -0.3, 0.3, 1 + 1e-10, -1, 0.5j, -0.5j, 1e-10, 2.5e-10 + 1e-10j]
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(*[st.dictionaries(st.tuples(st.integers(-1, 1), st.integers(-1, 1)),
+                         _complex_coefficients, max_size=4)] * 2)
+def test_complex_approx_never_stores_a_negligible_coefficient(f_terms, g_terms):
+    CA = LaurentRing(2, ComplexApprox(), ("x", "d"))
+    tolerance = CA.coefficients.tolerance
+    f, g = CA.element(f_terms), CA.element(g_terms)
+    for result in (f, g, f + g, f - g, f * g, f * g - g * f, f.alpha(), -f):
+        assert all(abs(c) > tolerance for _, c in result.items())
 
 
 def test_exact_divide_over_finite_fields():
