@@ -24,6 +24,32 @@ integral matrix, while for t = +d no change of basis achieves this (the
 reduction mod 1+d has no invariant line already at n = 3).  The m = 1
 blocks come from the same calculus one point at a time.  The resulting
 entries are frozen in tests/golden/generator_matrices.json.
+
+Closed-form inverses.  The change of basis P has entries 0 and +-1, and so
+has its inverse, which sums corners: the row of F_{a,b} has, in the column
+of v_{j,k}, the entry +1 (a = b) or -1 (a < b) when j <= a and b < k, and 0
+otherwise.  A generator sigma satisfies a relation with unit constant term:
+
+    m = 1:  (sigma - 1)(sigma + x) = 0,
+            so sigma^-1 = (sigma + x - 1) / x;
+    m = 2:  (sigma - 1)(sigma + x)(sigma - d x^2) = 0,
+            so sigma^-1 = (sigma^2 - e_1 sigma + e_2) / e_3,
+
+with e_1 = 1 - x + d x^2, e_2 = -x + d x^2 - d x^3 and e_3 = -d x^3 the
+elementary symmetric functions of the eigenvalues.  The cubic holds because
+the LKB action factors through the Birman-Murakami-Wenzl algebra (Zinno,
+Math. Ann. 321, 2001); both relations are checked in the tests.  Neither
+inverse needs elimination: linalg.invert remains only as the tests' oracle.
+
+Term order.  `specialize` sums an entry's terms in dict order, so complex
+specializations of word products depend on the order of the inverse entries.
+They keep the order the fraction-free elimination gives: descending keys,
+because its last step is an exact division, which emits the quotient from
+the leading term down.  At n = 3 the last row's final divisor is the corner
+entry of sigma, which is 1 for sigma_2, so nothing is divided and the order
+is the one the relation sums in; n = 3 keeps that order.  The tests compare
+entries and their term order against linalg.invert for n <= 9 (m = 2) and
+n <= 10 (m = 1).
 """
 
 from __future__ import annotations
@@ -34,7 +60,7 @@ from dataclasses import dataclass
 from . import linalg
 from .compositions import compositions
 from .embeddings import embedding_matrix
-from .ring import GroupRingElement, exact_divide
+from .ring import GroupRingElement, exact_divide, sum_of_products
 from .surfaces import SIDES, SurfaceTriad, standard_local_system
 
 __all__ = [
@@ -180,34 +206,33 @@ def _arcs_of(e: tuple[int, ...]) -> tuple[int, int]:
     return arcs[0], arcs[1]
 
 
-def _corner_vector(e: tuple[int, ...], ring):
-    a, b = _arcs_of(e)
+def _corner_signs(a: int, b: int) -> dict[tuple[int, int], int]:
+    # Pair coordinates of F_{a,b}, all +-1 (the four corner pairs are distinct).
     if a == b:
-        return {(a, a + 1): ring.one}
-    vec = {}
-    for s in (a, a + 1):
-        for r in (b, b + 1):
-            if s == r:
-                continue
-            key = (min(s, r), max(s, r))
-            sign = 1 if ((s - a) + (r - b)) % 2 == 0 else -1
-            vec[key] = vec.get(key, ring.zero) + (ring.one if sign > 0 else -ring.one)
-    return vec
+        return {(a, a + 1): 1}
+    return {
+        (min(s, r), max(s, r)): (-1) ** ((s - a) + (r - b))
+        for s in (a, a + 1) for r in (b, b + 1) if s != r
+    }
 
 
 @functools.lru_cache(maxsize=None)
 def _corner_data(n: int):
-    # Change of basis P (pair coordinates of each F_e) and its exact inverse.
+    # Change of basis P (pair coordinates of each F_e) and its corner-sum
+    # inverse, both written out (module docstring).
     ring = _system(2).ring
-    comps = compositions(n - 1, 2)
+    unit = {1: ring.one, -1: -ring.one}
+    arcs = [_arcs_of(e) for e in compositions(n - 1, 2)]
     pairs = _pairs(n)
     index = {p: a for a, p in enumerate(pairs)}
-    size = len(pairs)
-    P = [[ring.zero for _ in range(size)] for _ in range(size)]
-    for col, e in enumerate(comps):
-        for pair, coeff in _corner_vector(e, ring).items():
-            P[index[pair]][col] = coeff
-    Pinv = linalg.invert(P, ring)
+    P = [[ring.zero] * len(pairs) for _ in pairs]
+    for col, (a, b) in enumerate(arcs):
+        for pair, sign in _corner_signs(a, b).items():
+            P[index[pair]][col] = unit[sign]
+    Pinv = [
+        [unit[1 if a == b else -1] if j <= a and k > b else ring.zero for (j, k) in pairs]
+        for (a, b) in arcs
+    ]
     return _freeze(P), _freeze(Pinv)
 
 
@@ -235,8 +260,28 @@ def _generator_entries(n: int, i: int, m: int):
 
 @functools.lru_cache(maxsize=None)
 def _generator_inverse_entries(n: int, i: int, m: int):
+    # sigma is a root of p(s) = prod (s - r) = a_0 + a_1 s + ... + s^k over its
+    # eigenvalues r, and a_0 is a unit, so
+    # sigma^-1 = -(a_1 + a_2 sigma + ... + sigma^(k-1)) / a_0.
     ring = _system(m).ring
-    return _freeze(linalg.invert(_generator_entries(n, i, m), ring))
+    x = ring.var("x")
+    eigenvalues = (ring.one, -x) if m == 1 else (ring.one, -x, ring.var("d") * x * x)
+    poly = [ring.one]
+    for r in eigenvalues:
+        poly = [hi - r * lo for hi, lo in zip([ring.zero] + poly, poly + [ring.zero])]
+    scale = -poly[0].inverse()
+    sigma = _generator_entries(n, i, m)
+    powers = [linalg.identity(ring, len(sigma)), sigma]
+    while len(powers) < len(poly) - 1:
+        powers.append(linalg.mat_mul(powers[-1], sigma))
+    terms = list(zip([scale * a for a in poly[1:]], powers))
+    rows = [
+        [sum_of_products(ring, [(c, power[a][b]) for c, power in terms]) for b in range(len(sigma))]
+        for a in range(len(sigma))
+    ]
+    if n > 3:  # term order of the elimination; see the module docstring
+        rows = [[ring.element(dict(reversed(e.items()))) for e in row] for row in rows]
+    return _freeze(rows)
 
 
 def _validate(n: int, i: int, m: int):

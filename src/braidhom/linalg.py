@@ -40,8 +40,15 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
         raise ValueError(f"shape mismatch: {len(a)}x{len(a[0])} times {len(b)}x{len(b[0])}")
     ring = common_ring(None, a, b)
     cols = [[(i, x) for i, x in enumerate(col) if not x.is_zero()] for col in zip(*b)]
+    # Over an exact domain a product with 1 changes no coefficient, so a column
+    # whose one nonzero entry is 1 copies an entry of the row.
+    one, exact = ring.one, ring.coefficients.is_domain
+    units = [col[0][0] if exact and len(col) == 1 and col[0][1] == one else None for col in cols]
     return tuple(
-        tuple(sum_of_products(ring, [(row[i], x) for i, x in col]) for col in cols)
+        tuple(
+            sum_of_products(ring, [(row[i], x) for i, x in col]) if u is None else row[u]
+            for col, u in zip(cols, units)
+        )
         for row in a
     )
 
@@ -70,7 +77,8 @@ def invert(a: Matrix, ring: LaurentRing) -> Matrix:
     det * I on the left and det * inverse on the right of the augmented
     matrix; the final division is by the determinant, which must be a unit
     (a matrix over a Laurent ring is invertible exactly when its determinant
-    is).
+    is).  The braid layer inverts in closed form; the tests use this as its
+    oracle.
     """
     n = len(a)
     if any(len(row) != n for row in a):

@@ -31,7 +31,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 Exponents = tuple[int, ...]
 
@@ -339,6 +339,12 @@ class LaurentRing:
         return _parse_element(self, text)
 
 
+@lru_cache(maxsize=16)
+def _scalar_ring(k: CoefficientRing) -> LaurentRing:
+    """The rank-0 ring over k, where `specialize` puts its values."""
+    return LaurentRing(0, k)
+
+
 class GroupRingElement:
     """A finitely supported function Z^d -> k, i.e. a sparse Laurent polynomial.
 
@@ -500,14 +506,13 @@ class GroupRingElement:
         if missing:
             raise ValueError(f"unassigned variables: {sorted(missing)}")
         values = [target.coerce(assignments[v]) for v in self.ring.variables]
-        out = LaurentRing(0, target)
         total = target.zero
         for key, coeff in self.terms.items():
             term = target.coerce(coeff)
             for value, e in zip(values, self.ring._unpack(key)):
                 term = target.mul(term, target.power(value, e))
             total = target.add(total, term)
-        return out.scalar(total)
+        return GroupRingElement(_scalar_ring(target), {} if target.is_zero(total) else {0: total})
 
     # -- printing and parsing -------------------------------------------------
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from braidhom import linalg
+from braidhom import braid, linalg
 from braidhom.braid import (
     BraidWord,
     braid_relations_hold,
@@ -75,6 +75,47 @@ def test_braid_word_validation_and_ops():
         BraidWord(3, (3,))
     with pytest.raises(ValueError):
         word * BraidWord(4, (1,))
+
+
+def _term_lists(matrix):
+    # Dict order matters: specialize sums terms in it, so float output depends on it.
+    return [[list(e.terms.items()) for e in row] for row in matrix]
+
+
+@pytest.mark.parametrize("m, strands", [(1, range(2, 11)), (2, range(3, 10))])
+def test_closed_form_inverses_match_the_elimination_oracle(m, strands):
+    for n in strands:
+        ring = generator_matrix(n, 1, m).ring
+        for i in range(1, n):
+            oracle = linalg.invert(generator_matrix(n, i, m).entries, ring)
+            inverse = braid._generator_inverse_entries(n, i, m)
+            assert mat_eq(inverse, oracle), (n, i)
+            assert _term_lists(inverse) == _term_lists(oracle), (n, i)
+
+
+def test_corner_sum_inverse_matches_the_elimination_oracle():
+    for n in range(3, 10):
+        P, Pinv = braid._corner_data(n)
+        oracle = linalg.invert(P, P[0][0].ring)
+        assert mat_eq(Pinv, oracle), n
+        assert _term_lists(Pinv) == _term_lists(oracle), n
+
+
+def test_generators_satisfy_the_eigenvalue_relations():
+    # Burau: (s - 1)(s + x) = 0; LKB, through the BMW algebra: (s - 1)(s + x)(s - d x^2) = 0.
+    for m, strands in ((1, range(2, 9)), (2, range(3, 7))):
+        for n in strands:
+            for i in range(1, n):
+                sigma = generator_matrix(n, i, m)
+                ring = sigma.ring
+                x = ring.var("x")
+                roots = [ring.one, -x] + ([ring.var("d") * x * x] if m == 2 else [])
+                product = identity(ring, sigma.size)
+                for r in roots:
+                    shifted = [[e - r if a == b else e for b, e in enumerate(row)]
+                               for a, row in enumerate(sigma.entries)]
+                    product = mat_mul(product, shifted)
+                assert all(e.is_zero() for row in product for e in row), (m, n, i)
 
 
 def test_word_times_inverse_is_the_identity():

@@ -53,7 +53,7 @@ COEFFICIENTS = {
     QQ: st.fractions(min_value=-3, max_value=3, max_denominator=4),
     F7: st.integers(-10, 10),
     CC: st.builds(complex, st.integers(-8, 8).map(lambda v: v / 4),
-                  st.integers(-8, 8).map(lambda v: v / 4)),
+                  st.just(-0.0) | st.integers(-8, 8).map(lambda v: v / 4)),
 }
 
 
@@ -106,9 +106,18 @@ def test_mat_mul_shape_check():
 def test_mat_mul_matches_reference(data, ring, rows, inner, cols):
     a = data.draw(matrices(ring, rows, inner))
     b = data.draw(matrices(ring, inner, cols))
+    if data.draw(st.booleans()):  # a column of the identity, which mat_mul copies from a
+        j, k = data.draw(st.integers(0, cols - 1)), data.draw(st.integers(0, inner - 1))
+        b = as_matrix([ring.one if (r, c) == (k, j) else ring.zero if c == j else x
+                       for c, x in enumerate(row)] for r, row in enumerate(b))
     product = mat_mul(a, b)
+    expected = reference_mat_mul(a, b)
     assert len(product) == rows and all(len(row) == cols for row in product)
-    assert product == reference_mat_mul(a, b)
+    assert product == expected
+    # Bit for bit, in the same term order: specialize sums terms in dict order,
+    # and a product with 1 turns a complex -0.0 imaginary part into 0.0.
+    assert [[repr(list(x.terms.items())) for x in row] for row in product] == \
+        [[repr(list(x.terms.items())) for x in row] for row in expected]
 
 
 def test_mat_mul_rejects_mixed_rings():
