@@ -50,6 +50,19 @@ entry of sigma, which is 1 for sigma_2, so nothing is divided and the order
 is the one the relation sums in; n = 3 keeps that order.  The tests compare
 entries and their term order against linalg.invert for n <= 9 (m = 2) and
 n <= 10 (m = 1).
+
+Column plans.  In the pair basis a generator permutes the pairs away from
+{i, i+1}, so most of its columns hold a single 1; at n = 6 an LKB generator
+has 28 nonzeros out of 225.  Each letter is compiled once into a cached column
+plan (ring.column_plan): such a column becomes the row index to copy, any other
+its nonzero entries in ascending row order, with a one-term entry as a packed
+shift and a coefficient.  evaluate_word keeps the running product as rows of
+term maps, applies each letter as row operations (copy, shift-scale-accumulate,
+or a full product for an entry with several terms), and builds ring elements
+once at the end.  The products of an entry are merged in ascending row order,
+exactly as sum_of_products merges them, and a copy keeps the order the product
+with 1 gives, so every entry has the term order of a fold of linalg.mat_mul and
+specializations do not change.  P^-1 W P and sigma^2 go through the same kernel.
 """
 
 from __future__ import annotations
@@ -60,7 +73,8 @@ from dataclasses import dataclass
 from . import linalg
 from .compositions import compositions
 from .embeddings import embedding_matrix
-from .ring import GroupRingElement, exact_divide, sum_of_products
+from .ring import (GroupRingElement, apply_column_plans, column_plan, exact_divide,
+                   sum_of_products)
 from .surfaces import SIDES, SurfaceTriad, standard_local_system
 
 __all__ = [
@@ -255,7 +269,8 @@ def _generator_entries(n: int, i: int, m: int):
         return _freeze(_burau_rows(n, i))
     P, Pinv = _corner_data(n)
     W = _pair_rows(n, i)
-    return _freeze(linalg.mat_mul(Pinv, linalg.mat_mul(W, P)))
+    WP = apply_column_plans(W, [column_plan(P)])
+    return apply_column_plans(Pinv, [column_plan(WP)])
 
 
 @functools.lru_cache(maxsize=None)
@@ -273,7 +288,7 @@ def _generator_inverse_entries(n: int, i: int, m: int):
     sigma = _generator_entries(n, i, m)
     powers = [linalg.identity(ring, len(sigma)), sigma]
     while len(powers) < len(poly) - 1:
-        powers.append(linalg.mat_mul(powers[-1], sigma))
+        powers.append(apply_column_plans(powers[-1], [_letter_plan(n, i, m)]))
     terms = list(zip([scale * a for a in poly[1:]], powers))
     rows = [
         [sum_of_products(ring, [(c, power[a][b]) for c, power in terms]) for b in range(len(sigma))]
@@ -304,25 +319,27 @@ def generator_matrix(n: int, i: int, m: int) -> RepMatrix:
     return RepMatrix(n, m, _generator_entries(n, i, m), _TAGS[m])
 
 
+@functools.lru_cache(maxsize=None)
+def _letter_plan(n: int, letter: int, m: int):
+    if letter > 0:
+        return column_plan(_generator_entries(n, letter, m))
+    return column_plan(_generator_inverse_entries(n, -letter, m))
+
+
 def evaluate_word(word: BraidWord, m: int) -> RepMatrix:
     """Ordered product of generator matrices over the letters of `word`.
 
     Inverse letters use exact inverses; all entries stay in R because the
-    generator determinants are units.
+    generator determinants are units.  Each letter acts on the rows of the
+    running product through its cached column plan (module docstring).
     """
     if m not in (1, 2):
         raise ValueError(f"explicit matrices exist only for m in {{1, 2}}, got m={m}")
     ring = _system(m).ring
     n = word.n
-    size = len(compositions(n - 1, m))
-    product = linalg.identity(ring, size)
-    for letter in word.letters:
-        if letter > 0:
-            factor = _generator_entries(n, letter, m)
-        else:
-            factor = _generator_inverse_entries(n, -letter, m)
-        product = linalg.mat_mul(product, factor)
-    return RepMatrix(n, m, _freeze(product), _TAGS[m])
+    start = linalg.identity(ring, len(compositions(n - 1, m)))
+    plans = [_letter_plan(n, letter, m) for letter in word.letters]
+    return RepMatrix(n, m, apply_column_plans(start, plans), _TAGS[m])
 
 
 def dual_representation(word: BraidWord, m: int, side: str = "in") -> RepMatrix:

@@ -2,8 +2,10 @@
 
 Matrices are immutable tuples of tuples of GroupRingElement.  Products and
 fraction-free inversion sum each entry in one accumulator with
-`ring.sum_of_products` and check the ring once per matrix.  They skip zero
-entries, since an LKB generator at n = 6 has 28 nonzeros out of 225.
+`ring.sum_of_products` and check the ring once per matrix, skipping zero
+entries.  Braid words and the braid generators themselves do not come here:
+they multiply by cached column plans (`ring.apply_column_plans`), which give
+every entry the same terms in the same order as `mat_mul`.
 """
 
 from __future__ import annotations
@@ -40,15 +42,8 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
         raise ValueError(f"shape mismatch: {len(a)}x{len(a[0])} times {len(b)}x{len(b[0])}")
     ring = common_ring(None, a, b)
     cols = [[(i, x) for i, x in enumerate(col) if not x.is_zero()] for col in zip(*b)]
-    # Over an exact domain a product with 1 changes no coefficient, so a column
-    # whose one nonzero entry is 1 copies an entry of the row.
-    one, exact = ring.one, ring.coefficients.is_domain
-    units = [col[0][0] if exact and len(col) == 1 and col[0][1] == one else None for col in cols]
     return tuple(
-        tuple(
-            sum_of_products(ring, [(row[i], x) for i, x in col]) if u is None else row[u]
-            for col, u in zip(cols, units)
-        )
+        tuple(sum_of_products(ring, [(row[i], x) for i, x in col]) for col in cols)
         for row in a
     )
 

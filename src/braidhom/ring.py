@@ -6,10 +6,13 @@ deck transformation groups, scalars of intersection pairings, entries of braid
 matrices.  Elements are stored sparsely as a map from packed integer keys to
 nonzero coefficients: exponent vector e in Z^d has key sum_i e_i * 2^(64*(d-1-i)),
 which is linear (monomial products add keys) and ordered as the vectors in lex
-order.  `element`, `monomial`, `parse`, `from_json_terms` and `**` reject exponents
-beyond EXPONENT_BOUND = 2^31 - 1; arithmetic is exact while they stay within 2^63.
-A product with a one-term factor (most braid generator entries) is one shift and
-scale.  Other modules see exponents as tuples (`coefficient`, `support`, `items`).
+order.  `element`, `monomial`, `parse` and `from_json_terms` reject exponents
+beyond EXPONENT_BOUND = 2^31 - 1, and `**` rejects powers beyond it (for an element
+with several terms, result exponents too).  Arithmetic is exact while exponents stay
+within +-(2^63 - 1); `*` raises ValueError for a product that would leave that range,
+while the matrix kernels (`sum_of_products`, `apply_column_plans`) trust their
+inputs.  A product with a one-term factor (most braid generator entries) is one shift
+and scale.  Other modules see exponents as tuples (`coefficient`, `support`, `items`).
 
 Supported coefficient rings k: the integers, the rationals, the integers mod a
 prime, and tolerance-based complex floats.  The first three are integral
@@ -38,6 +41,14 @@ Exponents = tuple[int, ...]
 EXPONENT_BOUND = 2**31 - 1
 _WIDTH = 64  # bits per coordinate of a packed key
 _HALF, _MASK = 1 << (_WIDTH - 1), (1 << _WIDTH) - 1  # centred digits lie in [-_HALF, _HALF)
+_LIMIT = _HALF - 1  # products are exact while every exponent stays within +-_LIMIT
+
+
+@lru_cache(maxsize=None)
+def _small_key_masks(rank: int) -> tuple[int, int]:
+    """(offset, spill): (key + offset) & spill == 0 iff every coordinate is in [-2^61, 2^61)."""
+    places = [1 << (_WIDTH * j) for j in range(rank)]
+    return sum(p << 61 for p in places), ~sum(p * ((1 << 62) - 1) for p in places)
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +302,17 @@ class LaurentRing:
                 return key
         raise ValueError(f"bad exponent vector {exps!r} for rank {self.rank} (bound {bound})")
 
+    def _check_product_range(self, f: dict, g: dict) -> None:
+        """ValueError unless every exponent of f*g lies within +-(2^63 - 1).
+
+        Over a domain each coordinate's extremes of f*g are the sums of those
+        of f and g.
+        """
+        if f and g:
+            for a, b in zip(zip(*map(self._unpack, f)), zip(*map(self._unpack, g))):
+                if max(a) + max(b) > _LIMIT or min(a) + min(b) < -_LIMIT:
+                    raise ValueError("a product exponent would leave +-(2^63 - 1)")
+
     def _unpack(self, key: int) -> Exponents:
         low = []  # centred digits, last coordinate first
         for _ in range(self.rank - 1):
@@ -418,6 +440,11 @@ class GroupRingElement:
         other = self._coerce_operand(other)
         if other is NotImplemented:
             return NotImplemented
+        offset, spill = _small_key_masks(self.ring.rank)
+        for e in (*self.terms, *other.terms):
+            if (e + offset) & spill:  # a coordinate beyond 2^61: check exactly
+                self.ring._check_product_range(self.terms, other.terms)
+                break
         terms = _product(self.ring.coefficients, self.terms, other.terms)
         return GroupRingElement(self.ring, terms)
 
@@ -426,7 +453,12 @@ class GroupRingElement:
     def __pow__(self, n: int):
         if not isinstance(n, int):
             return NotImplemented
-        largest = max((abs(e) for key in self.terms for e in self.ring._unpack(key)), default=0)
+        # The power of a one-term element is a shift, which `*` range-checks, so
+        # only n is bounded; other powers keep every result exponent in bound.
+        if len(self.terms) == 1:
+            largest = 1
+        else:
+            largest = max((abs(e) for key in self.terms for e in self.ring._unpack(key)), default=0)
         if largest * abs(n) > EXPONENT_BOUND:
             raise ValueError(f"power {n} takes an exponent beyond {EXPONENT_BOUND}")
         if n < 0:
@@ -436,8 +468,9 @@ class GroupRingElement:
         while n:
             if n & 1:
                 result = result * square
-            square = square * square
             n >>= 1
+            if n:  # an unused last square could leave the range
+                square = square * square
         return result
 
     def __eq__(self, other):
@@ -648,6 +681,81 @@ def sum_of_products(ring: LaurentRing, pairs) -> GroupRingElement:
             product = _product(k, f.terms, g.terms)
             acc = _accumulate(k, acc, product) if acc else product
     return GroupRingElement(ring, acc)
+
+
+def column_plan(matrix) -> tuple:
+    """Compile a matrix over Z[Z^d] for `apply_column_plans`; ValueError for other coefficients.
+
+    The plan is (ring, number of rows, columns).  A column whose one nonzero
+    entry is 1 is the row index to copy.  Any other column is a tuple of its
+    nonzero entries in ascending row order, each (row, shift, coefficient,
+    None) for a one-term entry and (row, 0, 0, term map) for an entry with
+    several terms.  The row operations use Python's own integer arithmetic,
+    where a product with 1 changes nothing and a product of nonzero terms is
+    never zero.
+    """
+    ring = matrix[0][0].ring
+    if not isinstance(ring.coefficients, Integers):
+        raise ValueError(f"column plans need integer coefficients, not {ring.coefficients.name}")
+    columns = []
+    for col in zip(*matrix):
+        entries = [(i, x.terms) for i, x in enumerate(col) if x.terms]
+        if len(entries) == 1 and entries[0][1] == {0: 1}:
+            columns.append(entries[0][0])
+            continue
+        columns.append(tuple(
+            (i, *next(iter(g.items())), None) if len(g) == 1 else (i, 0, 0, g)
+            for i, g in entries
+        ))
+    return ring, len(matrix), tuple(columns)
+
+
+def apply_column_plans(start, plans) -> tuple[tuple[GroupRingElement, ...], ...]:
+    """The product of `start` (entries from one ring) with the planned matrices, in order.
+
+    Rows are kept as term maps and each plan acts on them as row operations:
+    a copy, a shift and scale of a row entry by a one-term entry, or
+    `_product` for an entry with several terms.  Every entry adds its products
+    in the order `sum_of_products` adds them, so its terms come out in the same
+    dict order as from `mat_mul`.
+    """
+    ring = start[0][0].ring
+    k = ring.coefficients
+    rows = [[x.terms for x in row] for row in start]
+    for plan_ring, height, columns in plans:
+        if plan_ring is not ring and plan_ring != ring:
+            raise ValueError(f"ring context mismatch: {ring} vs {plan_ring}")
+        if height != len(rows[0]):
+            raise ValueError(f"shape mismatch: {len(rows[0])} columns times {height} rows")
+        for r, row in enumerate(rows):
+            out = []
+            for col in columns:
+                if col.__class__ is int:
+                    out.append(row[col])
+                    continue
+                acc = {}
+                for i, shift, c, g in col:
+                    f = row[i]
+                    if not f:
+                        continue
+                    if g is not None:
+                        product = _product(k, f, g)
+                        acc = _accumulate(k, acc, product) if acc else product
+                    elif acc:
+                        for e, v in f.items():
+                            e += shift
+                            s = acc.get(e, 0) + c * v
+                            if s:
+                                acc[e] = s
+                            else:
+                                del acc[e]
+                    elif shift or c != 1:
+                        acc = {e + shift: c * v for e, v in f.items()}
+                    else:
+                        acc = dict(f)
+                out.append(acc)
+            rows[r] = out
+    return tuple(tuple(GroupRingElement(ring, terms) for terms in row) for row in rows)
 
 
 # ---------------------------------------------------------------------------

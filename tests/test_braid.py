@@ -5,6 +5,8 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from braidhom import braid, linalg
 from braidhom.braid import (
@@ -116,6 +118,47 @@ def test_generators_satisfy_the_eigenvalue_relations():
                                for a, row in enumerate(sigma.entries)]
                     product = mat_mul(product, shifted)
                 assert all(e.is_zero() for row in product for e in row), (m, n, i)
+
+
+def _reference_word(word, m):
+    """The fold of linalg.mat_mul over the cached generators and inverses: a test oracle."""
+    n = word.n
+    product = identity(generator_matrix(n, 1, m).ring, generator_matrix(n, 1, m).size)
+    for letter in word.letters:
+        if letter > 0:
+            factor = braid._generator_entries(n, letter, m)
+        else:
+            factor = braid._generator_inverse_entries(n, -letter, m)
+        product = mat_mul(product, factor)
+    return product
+
+
+@st.composite
+def _words(draw):
+    """(m, word): LKB on up to 7 strands, Burau on up to 10, runs of a repeated letter."""
+    m = draw(st.sampled_from((1, 2)))
+    n = draw(st.integers(2, 7 if m == 2 else 10))
+    letter = st.integers(1, n - 1).flatmap(lambda i: st.sampled_from((i, -i)))
+    runs = draw(st.lists(st.tuples(letter, st.integers(1, 3)), max_size=6 if m == 2 else 12))
+    return m, BraidWord(n, tuple(a for a, count in runs for _ in range(count)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_words())
+@example((2, BraidWord(3, ())))
+@example((2, BraidWord(2, (1, 1, -1))))
+@example((2, BraidWord(3, (-2, -2, 1, -1, 2))))  # n = 3 keeps the inverse's own order
+@example((2, BraidWord(6, (3, 3, 3, -5, -5, 1, -1))))
+@example((1, BraidWord(10, (9, 9, -1, -1, 4, -4, 4))))
+def test_evaluate_word_matches_the_mat_mul_fold(case):
+    m, word = case
+    rho = evaluate_word(word, m)
+    expected = _reference_word(word, m)
+    assert mat_eq(rho.entries, expected)
+    assert _term_lists(rho.entries) == _term_lists(expected)
+    dual = dual_representation(word, m)
+    pairing = mat_mul(linalg.transpose(linalg.mat_alpha(dual.entries)), rho.entries)
+    assert mat_eq(pairing, identity(rho.ring, rho.size))
 
 
 def test_word_times_inverse_is_the_identity():

@@ -19,7 +19,8 @@ from braidhom.linalg import (
     specialize_matrix,
     transpose,
 )
-from braidhom.ring import ComplexApprox, Integers, IntegersModP, LaurentRing, Rationals
+from braidhom.ring import (ComplexApprox, Integers, IntegersModP, LaurentRing, Rationals,
+                           apply_column_plans, column_plan)
 
 ZZ = LaurentRing(2, Integers(), ("x", "d"))
 X, D = ZZ.var("x"), ZZ.var("d")
@@ -129,6 +130,47 @@ def test_mat_mul_rejects_mixed_rings():
         mat_mul(as_matrix([[X, QQ.one]]), identity(ZZ, 2))
     with pytest.raises(ValueError):
         invert(a, QQ)
+
+
+def _term_lists(matrix):
+    return [[repr(list(x.terms.items())) for x in row] for row in matrix]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.integers(1, 4), st.integers(1, 5), st.integers(1, 4))
+def test_column_plans_match_mat_mul(data, rows, inner, cols):
+    a = data.draw(matrices(ZZ, rows, inner))
+    b = data.draw(matrices(ZZ, inner, cols))
+    # Columns of the identity (copied), and columns of one-term entries (shifted and scaled).
+    kinds = data.draw(st.lists(st.sampled_from(["any", "one-term", "unit"]),
+                               min_size=cols, max_size=cols))
+    one_term = st.sampled_from([ZZ.one, -ZZ.one, X, -(D ** 2), 3 * X ** -1 * D])
+
+    def cell(r, c, x):
+        if kinds[c] == "unit":
+            return ZZ.one if r == c % inner else ZZ.zero
+        return data.draw(one_term) if kinds[c] == "one-term" and not x.is_zero() else x
+
+    b = as_matrix([cell(r, c, x) for c, x in enumerate(row)] for r, row in enumerate(b))
+    third = data.draw(matrices(ZZ, cols, data.draw(st.integers(1, 4))))
+    product, expected = apply_column_plans(a, [column_plan(b)]), mat_mul(a, b)
+    assert product == expected
+    assert _term_lists(product) == _term_lists(expected)
+    chained = apply_column_plans(a, [column_plan(b), column_plan(third)])
+    assert _term_lists(chained) == _term_lists(mat_mul(expected, third))
+    assert mat_eq(chained, reference_mat_mul(reference_mat_mul(a, b), third))
+
+
+def test_column_plans_refuse_other_rings_and_shapes():
+    with pytest.raises(ValueError):
+        column_plan(identity(QQ, 2))
+    with pytest.raises(ValueError):
+        column_plan(identity(CC, 2))
+    with pytest.raises(ValueError):
+        apply_column_plans(identity(ZZ, 2), [column_plan(identity(ZZ, 3))])
+    other = LaurentRing(2, Integers(), ("x", "t"))
+    with pytest.raises(ValueError):
+        apply_column_plans(identity(ZZ, 2), [column_plan(identity(other, 2))])
 
 
 def test_transpose_and_alpha():

@@ -195,6 +195,27 @@ def test_exponents_beyond_the_bound_are_rejected():
     assert (x ** -EXPONENT_BOUND).alpha() == x ** EXPONENT_BOUND
 
 
+@pytest.mark.parametrize("ring, name", [(ZZ, "x"), (ZZ, "d"), (LaurentRing(1, Integers()), "x")])
+def test_products_that_would_leave_the_exact_range_are_refused(ring, name):
+    # Exponents are exact within +-(2^63 - 1); beyond, d's field would carry into x's.
+    v = ring.var(name)
+    assert (v ** EXPONENT_BOUND) ** 2 == v ** EXPONENT_BOUND * v ** EXPONENT_BOUND
+    power = v ** EXPONENT_BOUND
+    with pytest.raises(ValueError):
+        for _ in range(33):  # the 33rd square would reach 2^64 - 2^33
+            power = power * power
+    assert power.support() == [tuple(EXPONENT_BOUND * 2**32 if u == name else 0
+                                     for u in ring.variables)]
+    rest = v ** EXPONENT_BOUND * v ** EXPONENT_BOUND * v  # v^(2^32 - 1)
+    (top,) = (power * rest).support()
+    assert top[ring.variables.index(name)] == 2**63 - 1 and sum(map(abs, top)) == 2**63 - 1
+    for f, g in ((power * rest, v), (power.alpha() * rest.alpha(), v ** -1),
+                 (power + 1, power), (v ** -1, power.alpha() * rest.alpha() * (v ** 3 + 1))):
+        with pytest.raises(ValueError):
+            f * g
+    assert (power + 1) * (power.alpha() - 1) == power.alpha() - power
+
+
 _complex_coefficients = st.sampled_from(
     [0.1, 0.2, -0.3, 0.3, 1 + 1e-10, -1, 0.5j, -0.5j, 1e-10, 2.5e-10 + 1e-10j]
 )
