@@ -8,159 +8,54 @@ homology, the reduced Burau and Lawrence-Krammer-Bigelow representations
 with exact braid-relation and duality checks, genericity tests for
 specialized local systems, and the completed group ring with its helix
 classes.
+
+The public names load their module on first use (PEP 562), so a process
+pays only for the modules it touches; `braidhom.cli rep` never loads the
+homology, completion, pairing or embedding modules.
 """
 
-from .braid import (
-    BraidWord,
-    ConjugationCertificate,
-    RepMatrix,
-    braid_relations_hold,
-    diagonal_conjugation_integrality,
-    disc_triad,
-    dual_representation,
-    evaluate_word,
-    generator_matrix,
-)
-from .completion import (
-    CompletedElement,
-    CompletedVector,
-    Ray,
-    completed_from_json,
-    completed_to_json,
-    equal,
-    helix_class,
-    include_group_ring,
-    is_in_group_ring,
-    is_zero,
-    left_circle_helix,
-    module_action,
-    to_group_ring,
-)
+from importlib import import_module
+
+# The function `compositions` shadows its module's name, so it is bound now:
+# a later import of the submodule would otherwise leave the module here.
 from .compositions import compositions, count, rank, unrank
-from .embeddings import (
-    EmbeddingMatrix,
-    InjectivityCertificate,
-    ReducibilityWitness,
-    certify_injective,
-    embedding_matrix,
-    reducibility_witness,
-)
-from .homology import (
-    FiniteChainComplex,
-    ModulePresentation,
-    ShapiroVerdict,
-    SpecializationPoint,
-    circle_cohomology,
-    circle_complex,
-    complex_from_json,
-    complex_to_json,
-    genericity_check,
-    homology_ranks_at,
-    shapiro_circle_check,
-    shapiro_double_cover_check,
-)
-from .pairing import (
-    PairingMatrix,
-    closed_form_pairing,
-    delta_pairing,
-    geometric_pairing,
-    geometric_pairing_matrix,
-    inversions,
-    local_intersection_sum,
-)
-from .ring import (
-    ComplexApprox,
-    GroupRingElement,
-    Integers,
-    IntegersModP,
-    LaurentRing,
-    Rationals,
-    exact_divide,
-    quantum_factorial,
-    quantum_integer,
-)
-from .surfaces import (
-    FLAVOURS,
-    SIDES,
-    BasisClass,
-    LocalSystem,
-    SurfaceTriad,
-    basis,
-    check_homogeneity,
-    dimension,
-    standard_local_system,
-)
+
+_EXPORTS = {
+    "braid": ("BraidWord", "ConjugationCertificate", "RepMatrix", "braid_relations_hold",
+              "diagonal_conjugation_integrality", "disc_triad", "dual_representation",
+              "evaluate_word", "generator_matrix"),
+    "completion": ("CompletedElement", "CompletedVector", "Ray", "completed_from_json",
+                   "completed_to_json", "equal", "helix_class", "include_group_ring",
+                   "is_in_group_ring", "is_zero", "left_circle_helix", "module_action",
+                   "to_group_ring"),
+    "compositions": ("compositions", "count", "rank", "unrank"),
+    "embeddings": ("EmbeddingMatrix", "InjectivityCertificate", "ReducibilityWitness",
+                   "certify_injective", "embedding_matrix", "reducibility_witness"),
+    "homology": ("FiniteChainComplex", "ModulePresentation", "ShapiroVerdict",
+                 "SpecializationPoint", "circle_cohomology", "circle_complex",
+                 "complex_from_json", "complex_to_json", "genericity_check",
+                 "homology_ranks_at", "shapiro_circle_check", "shapiro_double_cover_check"),
+    "pairing": ("PairingMatrix", "closed_form_pairing", "delta_pairing", "geometric_pairing",
+                "geometric_pairing_matrix", "inversions", "local_intersection_sum"),
+    "ring": ("ComplexApprox", "GroupRingElement", "Integers", "IntegersModP", "LaurentRing",
+             "Rationals", "exact_divide", "quantum_factorial", "quantum_integer"),
+    "surfaces": ("FLAVOURS", "SIDES", "BasisClass", "LocalSystem", "SurfaceTriad", "basis",
+                 "check_homogeneity", "dimension", "standard_local_system"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BasisClass",
-    "BraidWord",
-    "CompletedElement",
-    "CompletedVector",
-    "ComplexApprox",
-    "ConjugationCertificate",
-    "EmbeddingMatrix",
-    "FLAVOURS",
-    "FiniteChainComplex",
-    "GroupRingElement",
-    "InjectivityCertificate",
-    "Integers",
-    "IntegersModP",
-    "LaurentRing",
-    "LocalSystem",
-    "ModulePresentation",
-    "PairingMatrix",
-    "Rationals",
-    "Ray",
-    "ReducibilityWitness",
-    "RepMatrix",
-    "SIDES",
-    "ShapiroVerdict",
-    "SpecializationPoint",
-    "SurfaceTriad",
-    "basis",
-    "braid_relations_hold",
-    "certify_injective",
-    "check_homogeneity",
-    "circle_cohomology",
-    "circle_complex",
-    "closed_form_pairing",
-    "completed_from_json",
-    "completed_to_json",
-    "complex_from_json",
-    "complex_to_json",
-    "compositions",
-    "count",
-    "delta_pairing",
-    "diagonal_conjugation_integrality",
-    "dimension",
-    "disc_triad",
-    "dual_representation",
-    "embedding_matrix",
-    "equal",
-    "evaluate_word",
-    "exact_divide",
-    "generator_matrix",
-    "genericity_check",
-    "geometric_pairing",
-    "geometric_pairing_matrix",
-    "helix_class",
-    "homology_ranks_at",
-    "include_group_ring",
-    "inversions",
-    "is_in_group_ring",
-    "is_zero",
-    "left_circle_helix",
-    "local_intersection_sum",
-    "module_action",
-    "quantum_factorial",
-    "quantum_integer",
-    "rank",
-    "reducibility_witness",
-    "shapiro_circle_check",
-    "shapiro_double_cover_check",
-    "standard_local_system",
-    "to_group_ring",
-    "unrank",
-]
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    globals()[name] = value  # later lookups (and the patching of module globals) see it
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

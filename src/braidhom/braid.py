@@ -68,14 +68,13 @@ specializations do not change.  P^-1 W P and sigma^2 go through the same kernel.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from . import linalg
 from .compositions import compositions
-from .embeddings import embedding_matrix
 from .ring import (GroupRingElement, apply_column_plans, column_plan, exact_divide,
                    sum_of_products)
 from .surfaces import SIDES, SurfaceTriad, standard_local_system
+from .values import value_class
 
 __all__ = [
     "BraidWord",
@@ -99,7 +98,7 @@ def disc_triad(n: int, m: int) -> SurfaceTriad:
     return SurfaceTriad(genus=0, inner_circles=n, outer_intervals=0, points=m)
 
 
-@dataclass(frozen=True)
+@value_class
 class BraidWord:
     """A word in the standard braid generators on n strands.
 
@@ -130,7 +129,7 @@ class BraidWord:
         return len(self.letters)
 
 
-@dataclass(frozen=True)
+@value_class
 class RepMatrix:
     """A braid-group matrix on the composition basis of the disc triad."""
 
@@ -295,7 +294,7 @@ def _generator_inverse_entries(n: int, i: int, m: int):
         for a in range(len(sigma))
     ]
     if n > 3:  # term order of the elimination; see the module docstring
-        rows = [[ring.element(dict(reversed(e.items()))) for e in row] for row in rows]
+        rows = [[e.in_descending_order() for e in row] for row in rows]
     return _freeze(rows)
 
 
@@ -373,7 +372,7 @@ def braid_relations_hold(n: int, m: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@value_class
 class ConjugationCertificate:
     """Result of the diagonal conjugation integrality test.
 
@@ -397,6 +396,8 @@ def diagonal_conjugation_integrality(n: int, m: int = 2) -> ConjugationCertifica
     check divides each entry rho_{ab} D_b by D_a exactly.  For m = 1 the
     diagonal is the identity and the answer is trivially true.
     """
+    from .embeddings import embedding_matrix
+
     if m not in (1, 2):
         raise ValueError(f"explicit matrices exist only for m in {{1, 2}}, got m={m}")
     triad = disc_triad(n, m)

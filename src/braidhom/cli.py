@@ -12,55 +12,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from fractions import Fraction
-from itertools import permutations
 
-from .braid import (
-    BraidWord,
-    braid_relations_hold,
-    diagonal_conjugation_integrality,
-    disc_triad,
-    dual_representation,
-    evaluate_word,
-)
-from .compositions import compositions
-from .completion import (
-    completed_to_json,
-    equal,
-    helix_class,
-    include_group_ring,
-    is_in_group_ring,
-    left_circle_helix,
-    module_action,
-)
-from .embeddings import embedding_matrix
-from .homology import (
-    SpecializationPoint,
-    circle_cohomology,
-    complex_from_json,
-    genericity_check,
-    homology_ranks_at,
-    shapiro_circle_check,
-    shapiro_double_cover_check,
-)
-from .linalg import identity, mat_mul, specialize_matrix, transpose
-from .pairing import (
-    closed_form_pairing,
-    delta_pairing,
-    geometric_pairing_matrix,
-    inversions,
-)
-from .ring import (
-    ComplexApprox,
-    Integers,
-    IntegersModP,
-    LaurentRing,
-    Rationals,
-    quantum_factorial,
-)
-from .surfaces import SurfaceTriad, basis, dimension, standard_local_system
+# Only what `rep` needs is imported here; every other subcommand imports its
+# own modules, so a cold `braidhom rep` never loads them.
+from .braid import BraidWord, evaluate_word
+from .linalg import specialize_matrix
+from .ring import ComplexApprox, Rationals
 
 FORMATS = ("json", "latex", "text")
 
@@ -78,6 +37,8 @@ def _parse_ints(text: str, flag: str) -> tuple[int, ...]:
 
 
 def _parse_surface(text: str, m: int) -> SurfaceTriad:
+    from .surfaces import SurfaceTriad
+
     parts = _parse_ints(text, "--surface")
     if len(parts) != 3:
         raise ValueError(f"--surface expects g,n,k, got {text!r}")
@@ -147,6 +108,8 @@ def _value_str(field, value) -> str:
 
 
 def _cmd_basis(args) -> int:
+    from .surfaces import basis, dimension
+
     triad = _parse_surface(args.surface, args.m)
     classes = basis(triad, args.side, args.flavour)
     if args.format == "latex":
@@ -173,6 +136,9 @@ def _cmd_basis(args) -> int:
 
 
 def _cmd_pairing(args) -> int:
+    from .pairing import delta_pairing, geometric_pairing_matrix
+    from .surfaces import standard_local_system
+
     triad = _parse_surface(args.surface, args.m)
     if args.geometric:
         matrix = geometric_pairing_matrix(triad, args.side, standard_local_system(args.m))
@@ -198,6 +164,11 @@ def _cmd_pairing(args) -> int:
 
 
 def _cmd_embed(args) -> int:
+    from .compositions import compositions
+    from .embeddings import embedding_matrix
+    from .ring import LaurentRing, quantum_factorial
+    from .surfaces import standard_local_system
+
     triad = _parse_surface(args.surface, args.m)
     system = standard_local_system(args.m)
     embedding = embedding_matrix(triad, args.direction, system)
@@ -267,6 +238,10 @@ def _cmd_rep(args) -> int:
 
 
 def _cmd_generic_check(args) -> int:
+    from .braid import disc_triad
+    from .homology import SpecializationPoint, genericity_check
+    from .surfaces import standard_local_system
+
     triad = disc_triad(2, args.m)
     system = standard_local_system(args.m)
     assignments = {"x": _parse_value(args.theta_x)}
@@ -297,6 +272,8 @@ def _cmd_generic_check(args) -> int:
 
 
 def _cmd_homology(args) -> int:
+    from .homology import SpecializationPoint, complex_from_json, homology_ranks_at
+
     with open(args.complex, encoding="utf-8") as handle:
         data = json.load(handle)
     cpx = complex_from_json(data)
@@ -327,6 +304,9 @@ def _cmd_homology(args) -> int:
 
 
 def _cmd_helix(args) -> int:
+    from .completion import completed_to_json, helix_class, is_in_group_ring
+    from .compositions import compositions
+
     triad = _parse_surface(args.surface, args.m)
     e = _parse_ints(args.e, "--e")
     y = _parse_ints(args.y, "--y")
@@ -363,18 +343,20 @@ def _cmd_helix(args) -> int:
 
 
 def _check_quantum_factorial() -> str | None:
-    ring = LaurentRing(1, Integers(), ("u",))
-    u = ring.var("u")
+    from .pairing import local_intersection_sum
+    from .ring import Integers, LaurentRing, quantum_factorial
+
+    u = LaurentRing(1, Integers(), ("u",)).var("u")
     for r in range(6):
-        total = ring.zero
-        for perm in permutations(range(r)):
-            total = total + u ** inversions(perm)
-        if quantum_factorial(r, u) != total:
+        if quantum_factorial(r, u) != local_intersection_sum(r, u):
             return f"r={r}"
     return None
 
 
 def _check_dimension() -> str | None:
+    from .compositions import compositions
+    from .surfaces import SurfaceTriad, dimension
+
     for g in range(2):
         for n in range(1, 4):
             for k in range(2):
@@ -389,6 +371,10 @@ def _check_dimension() -> str | None:
 
 
 def _check_delta_pairing() -> str | None:
+    from .linalg import identity
+    from .pairing import delta_pairing
+    from .surfaces import SurfaceTriad, dimension
+
     for triad in (SurfaceTriad(0, 3, 0, 2), SurfaceTriad(1, 2, 1, 2)):
         matrix = delta_pairing(triad, "in")
         if matrix.entries != identity(matrix.ring, dimension(triad)):
@@ -397,6 +383,10 @@ def _check_delta_pairing() -> str | None:
 
 
 def _check_geometric_pairing() -> str | None:
+    from .compositions import compositions
+    from .pairing import closed_form_pairing, geometric_pairing_matrix
+    from .surfaces import SurfaceTriad, standard_local_system
+
     for triad in (SurfaceTriad(0, 2, 1, 2), SurfaceTriad(0, 3, 0, 3)):
         system = standard_local_system(triad.points)
         matrix = geometric_pairing_matrix(triad, "in", system)
@@ -409,6 +399,11 @@ def _check_geometric_pairing() -> str | None:
 
 
 def _check_embedding_diagonal() -> str | None:
+    from .compositions import compositions
+    from .embeddings import embedding_matrix
+    from .ring import quantum_factorial
+    from .surfaces import SurfaceTriad, standard_local_system
+
     triad = SurfaceTriad(0, 3, 0, 2)
     system = standard_local_system(2)
     embedding = embedding_matrix(triad, "in", system)
@@ -425,6 +420,8 @@ def _check_embedding_diagonal() -> str | None:
 
 
 def _check_braid_relations() -> str | None:
+    from .braid import braid_relations_hold
+
     for m in (1, 2):
         for n in range(2, 5):
             if not braid_relations_hold(n, m):
@@ -433,6 +430,10 @@ def _check_braid_relations() -> str | None:
 
 
 def _check_word_inverse() -> str | None:
+    import random
+
+    from .linalg import identity
+
     rng = random.Random(11)
     for m in (1, 2):
         for _ in range(5):
@@ -447,6 +448,9 @@ def _check_word_inverse() -> str | None:
 
 
 def _check_dual_pairing() -> str | None:
+    from .braid import dual_representation
+    from .linalg import identity, mat_mul, transpose
+
     for m in (1, 2):
         for letters in ((1, 2), (2, -1, 1), (-2, -2, 1)):
             word = BraidWord(3, letters)
@@ -459,6 +463,8 @@ def _check_dual_pairing() -> str | None:
 
 
 def _check_conjugation_integrality() -> str | None:
+    from .braid import diagonal_conjugation_integrality
+
     for n in range(2, 5):
         certificate = diagonal_conjugation_integrality(n)
         if not certificate:
@@ -467,6 +473,9 @@ def _check_conjugation_integrality() -> str | None:
 
 
 def _check_circle_cohomology() -> str | None:
+    from .homology import circle_cohomology
+    from .ring import Integers, LaurentRing
+
     ring = LaurentRing(1, Integers(), ("x",))
     x = ring.var("x")
     cases = [x, -x, x ** 2, ring.one, -ring.one]
@@ -478,6 +487,9 @@ def _check_circle_cohomology() -> str | None:
 
 
 def _check_shapiro() -> str | None:
+    from .homology import shapiro_circle_check, shapiro_double_cover_check
+    from .ring import Integers, IntegersModP
+
     rings = [Integers(), Rationals(), IntegersModP(2), IntegersModP(3), IntegersModP(5)]
     for k in rings:
         if not shapiro_circle_check(k).matches:
@@ -488,6 +500,11 @@ def _check_shapiro() -> str | None:
 
 
 def _check_helix() -> str | None:
+    from .completion import (equal, helix_class, include_group_ring, is_in_group_ring,
+                             left_circle_helix)
+    from .ring import Integers, LaurentRing
+    from .surfaces import SurfaceTriad
+
     triad = SurfaceTriad(0, 2, 0, 1)
     ring = LaurentRing(2, Integers(), ("y", "z"))
     y, z = ring.var("y"), ring.var("z")
@@ -509,6 +526,11 @@ def _check_helix() -> str | None:
 
 
 def _check_inclusion_module_map() -> str | None:
+    import random
+
+    from .completion import equal, include_group_ring, module_action
+    from .ring import Integers, LaurentRing
+
     ring = LaurentRing(2, Integers(), ("y", "z"))
     rng = random.Random(7)
 

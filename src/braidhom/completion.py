@@ -20,17 +20,17 @@ element again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, lcm
 
 from .compositions import compositions
 from .ring import GroupRingElement, Integers, LaurentRing
 from .surfaces import SIDES, SurfaceTriad, dimension
+from .values import value_class
 
 RAY_DIRECTIONS = ("fwd", "bi")
 
 
-@dataclass(frozen=True)
+@value_class
 class Ray:
     """A repeating coefficient pattern along an arithmetic progression.
 
@@ -59,7 +59,7 @@ class Ray:
             raise ValueError(f"direction must be one of {RAY_DIRECTIONS}")
 
 
-@dataclass(frozen=True, eq=False)
+@value_class
 class CompletedElement:
     """An element of k[[G]] with finite-plus-rays support.
 
@@ -72,6 +72,9 @@ class CompletedElement:
     ring: LaurentRing
     finite: GroupRingElement
     rays: tuple[Ray, ...] = ()
+
+    __eq__ = object.__eq__  # identity: `equal` decides semantic equality
+    __hash__ = object.__hash__
 
     def __post_init__(self):
         object.__setattr__(self, "rays", tuple(self.rays))
@@ -185,7 +188,7 @@ def _primitive(step):
     return unit, g
 
 
-@dataclass(frozen=True)
+@value_class
 class _Line:
     """All rays of one element sweeping a common affine line.
 
@@ -293,13 +296,16 @@ def equal(a: CompletedElement, b: CompletedElement) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
+@value_class
 class CompletedVector:
     """A vector of completed elements indexed by the basis of one side."""
 
     triad: SurfaceTriad
     side: str
     entries: tuple[CompletedElement, ...]
+
+    __eq__ = object.__eq__  # identity, as for CompletedElement
+    __hash__ = object.__hash__
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))

@@ -15,11 +15,11 @@ locally finite representations are reducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from .compositions import compositions
 from .ring import GroupRingElement, quantum_factorial
 from .surfaces import BasisClass, LocalSystem, SurfaceTriad, check_homogeneity
+from .values import value_class
 
 DIRECTIONS = ("in", "out")
 
@@ -27,7 +27,7 @@ DIRECTIONS = ("in", "out")
 _TARGET_SIDE = {"in": "out", "out": "in"}
 
 
-@dataclass(frozen=True)
+@value_class
 class EmbeddingMatrix:
     """A diagonal embedding matrix in basis order.
 
@@ -74,7 +74,7 @@ def embedding_matrix(
     return EmbeddingMatrix(triad, direction, system, tuple(diagonal))
 
 
-@dataclass(frozen=True)
+@value_class
 class InjectivityCertificate:
     """Outcome of the non-zero-divisor test on the diagonal.
 
@@ -111,7 +111,7 @@ def certify_injective(embedding: EmbeddingMatrix) -> InjectivityCertificate:
     return InjectivityCertificate(injective=not vanishing, vanishing=vanishing)
 
 
-@dataclass(frozen=True)
+@value_class
 class ReducibilityWitness:
     """A proper-submodule witness for a locally finite representation.
 

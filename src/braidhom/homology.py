@@ -14,7 +14,6 @@ based over complex floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -30,13 +29,14 @@ from .ring import (
     exact_divide,
 )
 from .surfaces import LocalSystem, SurfaceTriad, check_homogeneity
+from .values import value_class
 
 DIRECTIONS = ("homological", "cohomological")
 
 PRESENTATION_KINDS = ("kernel", "cokernel")
 
 
-@dataclass(frozen=True)
+@value_class
 class ModulePresentation:
     """Kernel or cokernel of multiplication by one element on R.
 
@@ -98,7 +98,7 @@ def circle_complex(monodromy: GroupRingElement) -> FiniteChainComplex:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@value_class
 class FiniteChainComplex:
     """A finite complex of free R-modules with explicit boundary matrices.
 
@@ -160,7 +160,7 @@ class FiniteChainComplex:
         return below, above
 
 
-@dataclass(frozen=True)
+@value_class
 class SpecializationPoint:
     """A numeric evaluation point for the Laurent variables.
 
@@ -311,7 +311,7 @@ def genericity_check(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@value_class
 class ShapiroVerdict:
     """Both sides of a covering-space comparison, plus whether they agree.
 

@@ -20,15 +20,15 @@ an independent oracle, never substituted for the enumeration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations, product
 
 from .linalg import Matrix, identity
 from .ring import GroupRingElement, LaurentRing, quantum_factorial
 from .surfaces import BasisClass, LocalSystem, SurfaceTriad, basis, check_homogeneity, dimension
+from .values import value_class
 
 
-@dataclass(frozen=True)
+@value_class
 class PairingMatrix:
     """A pairing in the fixed bases: rows pair the left family, columns the right."""
 
@@ -94,7 +94,7 @@ def local_intersection_sum(r: int, u: GroupRingElement) -> GroupRingElement:
     return total
 
 
-@dataclass(frozen=True)
+@value_class
 class IntersectionPoint:
     """One transverse intersection point in the arc model.
 

@@ -30,11 +30,11 @@ chosen.
 
 from __future__ import annotations
 
-import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+
+from .values import value_class
 
 Exponents = tuple[int, ...]
 
@@ -58,7 +58,7 @@ def _small_key_masks(rank: int) -> tuple[int, int]:
 class CoefficientRing:
     """Interface for the supported coefficient rings k.
 
-    Concrete subclasses are value objects (frozen dataclasses), so two ring
+    Concrete subclasses are frozen value classes (`values.value_class`), so two ring
     descriptions compare equal exactly when they denote the same ring.
     """
 
@@ -109,7 +109,7 @@ class CoefficientRing:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
+@value_class
 class Integers(CoefficientRing):
     name = "integers"
     is_domain = True
@@ -134,7 +134,7 @@ class Integers(CoefficientRing):
         return int(s)
 
 
-@dataclass(frozen=True)
+@value_class
 class Rationals(CoefficientRing):
     name = "rationals"
     is_domain = True
@@ -162,7 +162,33 @@ class Rationals(CoefficientRing):
         return Fraction(s)
 
 
-@dataclass(frozen=True)
+# Miller-Rabin with the first 13 prime bases is deterministic below the least
+# strong pseudoprime to all of them (Sorenson and Webster, Math. Comp. 86, 2017).
+# The first 12 bases alone pass 318665857834031151167461 = 399165290221 * 798330580441.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3317044064679887385961981
+
+
+def _is_prime(p: int) -> bool:
+    if p >= _PRIME_BOUND:
+        raise ValueError(f"modulus {p} is beyond the primality bound {_PRIME_BOUND}")
+    if p < 2 or any(p % q == 0 for q in _PRIME_BASES):
+        return p in _PRIME_BASES
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2^s with d odd
+    for a in _PRIME_BASES:
+        x = pow(a, (p - 1) >> s, p)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == p - 1:
+                break
+            x = x * x % p
+        else:
+            return False
+    return True
+
+
+@value_class
 class IntegersModP(CoefficientRing):
     """The field Z/pZ for a prime p, residues stored in [0, p)."""
 
@@ -172,9 +198,8 @@ class IntegersModP(CoefficientRing):
     is_field = True
 
     def __post_init__(self):
-        p = self.p
-        if p < 2 or any(p % q == 0 for q in range(2, int(math.isqrt(p)) + 1)):
-            raise ValueError(f"modulus {p} is not prime")
+        if not _is_prime(self.p):
+            raise ValueError(f"modulus {self.p} is not prime")
 
     def coerce(self, value):
         if isinstance(value, bool) or not isinstance(value, int):
@@ -202,7 +227,7 @@ class IntegersModP(CoefficientRing):
         return int(s) % self.p
 
 
-@dataclass(frozen=True)
+@value_class
 class ComplexApprox(CoefficientRing):
     """Complex floats with an explicit comparison tolerance.
 
@@ -259,7 +284,7 @@ def _default_variables(rank: int) -> tuple[str, ...]:
     return tuple(f"x{i + 1}" for i in range(rank))
 
 
-@dataclass(frozen=True)
+@value_class
 class LaurentRing:
     """The group ring k[Z^rank], with named variables for printing/parsing."""
 
@@ -394,6 +419,10 @@ class GroupRingElement:
     def items(self) -> list[tuple[Exponents, object]]:
         """(exponent tuple, coefficient) pairs in ascending lex order."""
         return [(self.ring._unpack(e), c) for e, c in sorted(self.terms.items())]
+
+    def in_descending_order(self) -> GroupRingElement:
+        """This element with its terms in descending lex order (`specialize` sums in term order)."""
+        return GroupRingElement(self.ring, dict(sorted(self.terms.items(), reverse=True)))
 
     def _check_context(self, other: GroupRingElement):
         if self.ring is not other.ring and self.ring != other.ring:

@@ -16,11 +16,11 @@ locally finite module on the other side, written with a tilde in print.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from .compositions import compositions
 from .ring import GroupRingElement, Integers, LaurentRing
+from .values import value_class
 
 SIDES = ("in", "out")
 FLAVOURS = ("relative", "locally_finite", "lf_image")
@@ -36,7 +36,7 @@ _SYMBOLS = {
 }
 
 
-@dataclass(frozen=True)
+@value_class
 class SurfaceTriad:
     """(genus, inner circles, outer intervals) plus the number of moving points.
 
@@ -75,7 +75,7 @@ class SurfaceTriad:
         )
 
 
-@dataclass(frozen=True)
+@value_class
 class BasisClass:
     """A labelled basis element of one of the six module flavours."""
 
@@ -120,7 +120,7 @@ def basis(triad: SurfaceTriad, side: str, flavour: str) -> list[BasisClass]:
     ]
 
 
-@dataclass(frozen=True)
+@value_class
 class LocalSystem:
     """A rank-1 local system presented by its ground ring and swap unit u.
 

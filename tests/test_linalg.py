@@ -107,7 +107,7 @@ def test_mat_mul_shape_check():
 def test_mat_mul_matches_reference(data, ring, rows, inner, cols):
     a = data.draw(matrices(ring, rows, inner))
     b = data.draw(matrices(ring, inner, cols))
-    if data.draw(st.booleans()):  # a column of the identity, which mat_mul copies from a
+    if data.draw(st.booleans()):  # a column of the identity: multiplied through, not copied
         j, k = data.draw(st.integers(0, cols - 1)), data.draw(st.integers(0, inner - 1))
         b = as_matrix([ring.one if (r, c) == (k, j) else ring.zero if c == j else x
                        for c, x in enumerate(row)] for r, row in enumerate(b))
@@ -116,7 +116,7 @@ def test_mat_mul_matches_reference(data, ring, rows, inner, cols):
     assert len(product) == rows and all(len(row) == cols for row in product)
     assert product == expected
     # Bit for bit, in the same term order: specialize sums terms in dict order,
-    # and a product with 1 turns a complex -0.0 imaginary part into 0.0.
+    # and a product with 1 turns a complex -0.0 imaginary part into 0.0 (a copy would not).
     assert [[repr(list(x.terms.items())) for x in row] for row in product] == \
         [[repr(list(x.terms.items())) for x in row] for row in expected]
 

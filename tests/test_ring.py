@@ -1,6 +1,8 @@
 """Laurent ring arithmetic, the involution, units, division, q-analogs."""
 
+import math
 import random
+import time
 from fractions import Fraction
 from itertools import permutations
 
@@ -238,6 +240,29 @@ def test_exact_divide_over_finite_fields():
     f = (x + 2) * (x ** 2 + 3 * x + 4)
     q = exact_divide(f, x + 2)
     assert q is not None and q * (x + 2) == f
+
+
+def test_prime_moduli_agree_with_trial_division():
+    for p in range(-2, 10**4):
+        trial = p >= 2 and all(p % q for q in range(2, math.isqrt(p) + 1))
+        if trial:
+            assert IntegersModP(p).p == p
+        else:
+            with pytest.raises(ValueError, match=f"modulus {p} is not prime"):
+                IntegersModP(p)
+
+
+def test_large_prime_moduli_are_decided_quickly():
+    start = time.perf_counter()
+    assert IntegersModP(2**61 - 1).p == 2**61 - 1
+    assert time.perf_counter() - start < 1
+    # Carmichael 561; strong pseudoprimes to base 2 (2047), to bases 2..7 (3215031751)
+    # and to every prime base up to 37 (the last, which base 41 exposes).
+    for n in (561, 2047, 3215031751, 318665857834031151167461):
+        with pytest.raises(ValueError, match="is not prime"):
+            IntegersModP(n)
+    with pytest.raises(ValueError, match="beyond the primality bound"):
+        IntegersModP(2**89 - 1)
 
 
 def test_canonical_text_round_trip():
