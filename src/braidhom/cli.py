@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from math import isfinite
 
 # Only what `rep` needs is imported here; every other subcommand imports its
 # own modules, so a cold `braidhom rep` never loads them.
@@ -51,9 +52,12 @@ def _parse_value(text: str):
     except (ValueError, ZeroDivisionError):
         pass
     try:
-        return complex(text)
+        value = complex(text)
     except ValueError:
         raise ValueError(f"not a number: {text!r}")
+    if not (isfinite(value.real) and isfinite(value.imag)):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
 
 
 def _parse_assignments(text: str) -> dict:
@@ -281,6 +285,9 @@ def _cmd_homology(args) -> int:
     missing = set(cpx.ring.variables) - set(assignments)
     if missing:
         raise ValueError(f"--at must assign {sorted(missing)}")
+    unknown = set(assignments) - set(cpx.ring.variables)
+    if unknown:
+        raise ValueError(f"--at assigns {sorted(unknown)}, which the complex does not have")
     field = _field_for(assignments.values()) if assignments else Rationals()
     point = SpecializationPoint(assignments, field)
     ranks = homology_ranks_at(cpx, point)

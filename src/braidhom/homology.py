@@ -8,20 +8,18 @@ presentations by a single ring element; the vanishing tests behind
 genericity need nothing finer, and classifying modules over k[Z^2] is out
 of scope.  After specializing the variables at a numeric point the
 boundaries become matrices over a field and homology reduces to rank
-counting, exact over the rationals or finite fields and singular-value
-based over complex floats.
+counting by one Gaussian elimination (`linalg.rank`): exact over the
+rationals or finite fields, and with complete pivoting and a tolerance
+relative to the largest entry over complex floats.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
-from .linalg import (Matrix, as_matrix, common_ring, mat_mul, rank_exact, rank_numeric,
-                     specialize_matrix)
+from .linalg import Matrix, as_matrix, common_ring, mat_mul, rank, specialize_matrix
 from .ring import (
     CoefficientRing,
-    ComplexApprox,
     GroupRingElement,
     Integers,
     LaurentRing,
@@ -196,39 +194,6 @@ class SpecializationPoint:
         return all(not self.field.is_zero(v) for _, v in self.assignments)
 
 
-def _rank_over(values: list[list], k: CoefficientRing) -> int:
-    # Three honest rank notions: free rank over Z and Q via Gaussian
-    # elimination on Fractions, elimination with k's own arithmetic over a
-    # finite field, singular values over complex floats.
-    if isinstance(k, (Integers, Rationals)):
-        return rank_exact([[Fraction(v) for v in row] for row in values])
-    if isinstance(k, ComplexApprox):
-        return rank_numeric(values, k.tolerance)
-    if not k.is_exact:
-        raise ValueError(f"no rank computation over {k.name}")
-    matrix = [list(row) for row in values]
-    rank = 0
-    cols = len(matrix[0]) if matrix else 0
-    for col in range(cols):
-        pivot = next(
-            (r for r in range(rank, len(matrix)) if not k.is_zero(matrix[r][col])), None
-        )
-        if pivot is None:
-            continue
-        matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
-        inv = k.invert(matrix[rank][col])
-        matrix[rank] = [k.mul(inv, v) for v in matrix[rank]]
-        for r in range(len(matrix)):
-            if r != rank and not k.is_zero(matrix[r][col]):
-                f = matrix[r][col]
-                matrix[r] = [
-                    k.add(v, k.neg(k.mul(f, w)))
-                    for v, w in zip(matrix[r], matrix[rank])
-                ]
-        rank += 1
-    return rank
-
-
 def homology_ranks_at(
     cpx: FiniteChainComplex, point: SpecializationPoint
 ) -> tuple[int, ...]:
@@ -263,7 +228,7 @@ def homology_ranks_at(
                         raise RuntimeError(
                             f"specialized boundaries {i}, {i + 1} no longer compose to zero"
                         )
-    boundary_ranks = [_rank_over(values, k) for values in specialized]
+    boundary_ranks = [rank(values, k) for values in specialized]
     out = []
     for degree in range(cpx.degrees):
         below = boundary_ranks[degree - 1] if degree >= 1 else 0

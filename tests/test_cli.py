@@ -222,6 +222,37 @@ def test_homology_exponent_beyond_the_bound_is_one_error_line(tmp_path, capsys):
     assert "2147483647" in err
 
 
+def _circle_file(tmp_path):
+    path = tmp_path / "circle.json"
+    path.write_text(json.dumps(complex_to_json(circle_complex(
+        LaurentRing(1, Integers(), ("x",)).var("x")))))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ("rep", "--n", "3", "--m", "2", "--word=1,-2", "--specialize", "x=nan,d=1"),
+    ("rep", "--n", "3", "--m", "2", "--word=1,-2", "--specialize", "x=2,d=inf"),
+    ("homology", "--complex", "CIRCLE", "--at", "x=nan"),
+    ("homology", "--complex", "CIRCLE", "--at", "x=1+infj"),
+    ("generic-check", "--m", "2", "--theta-x", "nan", "--theta-d", "2"),
+    ("generic-check", "--m", "2", "--theta-x", "2", "--theta-d=-inf"),
+])
+def test_non_finite_values_are_one_error_line(tmp_path, capsys, argv):
+    argv = [_circle_file(tmp_path) if a == "CIRCLE" else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: not a finite number") and err.count("\n") == 1
+
+
+def test_homology_refuses_variables_the_complex_lacks(tmp_path, capsys):
+    code, out, err = run(capsys, "homology", "--complex", _circle_file(tmp_path),
+                         "--at", "x=2,y=3")
+    assert code == 1
+    assert out == ""
+    assert err == "error: --at assigns ['y'], which the complex does not have\n"
+
+
 # Float specializations sum terms in the order products emit them, so any change
 # of that order shows in the last digits of these bytes.
 FROZEN_COMPLEX_REP = (

@@ -1,11 +1,14 @@
 """Exact matrix helpers: products, involution transpose, inversion, ranks."""
 
+import cmath
 import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.polys.matrices import DomainMatrix
 
 from braidhom.linalg import (
     as_matrix,
@@ -14,8 +17,7 @@ from braidhom.linalg import (
     mat_alpha,
     mat_eq,
     mat_mul,
-    rank_exact,
-    rank_numeric,
+    rank,
     specialize_matrix,
     transpose,
 )
@@ -206,25 +208,64 @@ def test_specialize_matrix_values():
 
 
 def test_rank_exact_known_cases():
-    assert rank_exact([]) == 0
-    assert rank_exact([[Fraction(0), Fraction(0)]]) == 0
-    assert rank_exact([[1, 2], [2, 4]]) == 1
-    assert rank_exact([[1, 2], [3, 4]]) == 2
+    assert rank([], Rationals()) == 0
+    assert rank([[Fraction(0), Fraction(0)]], Rationals()) == 0
+    assert rank([[1, 2], [2, 4]], Rationals()) == 1
+    assert rank([[1, 2], [3, 4]], Rationals()) == 2
 
 
 def test_rank_exact_invariant_under_row_ops():
     rng = random.Random(9)
     for _ in range(20):
         rows = [[Fraction(rng.randint(-3, 3)) for _ in range(4)] for _ in range(3)]
-        r = rank_exact(rows)
+        r = rank(rows, Rationals())
         a, b = rng.randrange(3), rng.randrange(3)
         if a != b:
             rows[a] = [x + 2 * y for x, y in zip(rows[a], rows[b])]
-        assert rank_exact(rows) == r
+        assert rank(rows, Rationals()) == r
 
 
 def test_rank_numeric_thresholds():
-    assert rank_numeric([], 1e-9) == 0
-    assert rank_numeric([[1.0, 2.0], [2.0, 4.0]], 1e-9) == 1
-    assert rank_numeric([[1.0, 2.0], [2.0, 4.0 + 1e-13]], 1e-9) == 1
-    assert rank_numeric([[1.0, 0.0], [0.0, 1e-3]], 1e-9) == 2
+    assert rank([], ComplexApprox(1e-9)) == 0
+    assert rank([[1.0, 2.0], [2.0, 4.0]], ComplexApprox(1e-9)) == 1
+    assert rank([[1.0, 2.0], [2.0, 4.0 + 1e-13]], ComplexApprox(1e-9)) == 1
+    assert rank([[1.0, 0.0], [0.0, 1e-3]], ComplexApprox(1e-9)) == 2
+
+
+TURN = cmath.exp(0.7j)
+
+
+def _sympy_rank(rows, k):
+    """The oracle: sympy's rank of the exact matrix, over GF(p) for a finite field."""
+    if isinstance(k, IntegersModP):
+        return DomainMatrix.from_list(rows, sympy.GF(k.p)).rank()
+    return sympy.Matrix(rows).rank()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.sampled_from([Rationals(), IntegersModP(7), IntegersModP(1_000_003),
+                                   ComplexApprox()]),
+       st.integers(1, 6), st.integers(1, 8), st.integers(1, 6))
+def test_rank_matches_sympy_on_products(data, k, rows, cols, inner):
+    # A (rows x inner) times B (inner x cols) has rank at most inner.
+    gaussian = isinstance(k, ComplexApprox)
+    entry = (st.builds(complex, st.integers(-3, 3), st.integers(-3, 3)) if gaussian
+             else st.integers(-3, 3))
+    a = data.draw(st.lists(st.lists(entry, min_size=inner, max_size=inner),
+                           min_size=rows, max_size=rows))
+    b = data.draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                           min_size=inner, max_size=inner))
+    product = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+    if not gaussian:
+        assert rank(product, k) == _sympy_rank(product, k)
+        return
+    exact = [[int(z.real) + int(z.imag) * sympy.I for z in row] for row in product]
+    turned = [[z * TURN for z in row] for row in product]
+    tiny = [[z * 1e-12 for z in row] for row in turned]
+    assert rank(turned, k) == rank(tiny, k) == _sympy_rank(exact, k)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(1, float("nan"))])
+def test_rank_rejects_non_finite_entries(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        rank([[1.0, 2.0], [bad, 0.5]], ComplexApprox())

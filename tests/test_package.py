@@ -1,6 +1,7 @@
-"""The package surface: lazily resolved public names and what a cold `rep` imports."""
+"""The package surface: lazily resolved public names, what a cold `rep` imports, no numpy."""
 
 import importlib
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -52,3 +53,23 @@ def test_cold_rep_loads_only_what_it_uses():
     for absent in ("dataclasses", "inspect", "braidhom.homology", "braidhom.completion",
                    "braidhom.pairing", "braidhom.embeddings"):
         assert absent not in modules
+
+
+def test_complex_homology_runs_without_numpy(tmp_path):
+    from braidhom.homology import circle_complex, complex_to_json
+    from braidhom.ring import Integers, LaurentRing
+
+    path = tmp_path / "circle.json"
+    path.write_text(json.dumps(complex_to_json(circle_complex(
+        LaurentRing(1, Integers(), ("x",)).var("x")))))
+    src = Path(braidhom.__file__).resolve().parents[1]
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r})\n"
+        "sys.modules['numpy'] = None  # any import of numpy now fails\n"
+        "from braidhom import cli\n"
+        f"sys.exit(cli.main(['homology', '--complex', {str(path)!r}, '--at', 'x=0.5+0.5j']))\n"
+    )
+    result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                            text=True)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert json.loads(result.stdout)["ranks"] == [0, 0]
