@@ -103,7 +103,10 @@ def _matrix_cells(entries) -> list[list[str]]:
 
 
 def _value_str(field, value) -> str:
-    return field.to_str(field.coerce(value))
+    value = field.coerce(value)
+    if not field.is_exact and not (isfinite(value.real) and isfinite(value.imag)):
+        raise ValueError(f"a specialized value is not finite: {value!r}")
+    return field.to_str(value)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ relative to the largest entry over complex floats.
 from __future__ import annotations
 
 from math import gcd
+from operator import mul
 
 from .linalg import Matrix, as_matrix, common_ring, mat_mul, rank, specialize_matrix
 from .ring import (
@@ -202,6 +203,8 @@ def homology_ranks_at(
     Over a field, rank H_i = ranks[i] - rank(map into i) - rank(map out of
     i), the two maps being the boundaries adjacent to degree i; which one is
     in and which is out depends on the direction, but the formula does not.
+    Over complex floats a composite of specialized boundaries beyond tolerance
+    times the largest entries of its factors is a ValueError.
     """
     k = point.field
     assignments = point.mapping
@@ -214,20 +217,18 @@ def homology_ranks_at(
     ]
     if not k.is_exact:
         # Rounding could make a composite drift from zero; refuse to count
-        # ranks of something that is no longer a complex.
+        # ranks of something that is no longer a complex.  Like `rank`, the
+        # test is relative: to the largest entries of the two factors.
         for i in range(len(specialized) - 1):
             a, b = specialized[i], specialized[i + 1]
             if cpx.direction == "cohomological":
                 a, b = b, a
             if not a or not b:
                 continue
-            for row in range(len(a)):
-                for col in range(len(b[0])):
-                    total = sum(a[row][j] * b[j][col] for j in range(len(b)))
-                    if abs(total) > k.tolerance:
-                        raise RuntimeError(
-                            f"specialized boundaries {i}, {i + 1} no longer compose to zero"
-                        )
+            scale = max(abs(v) for row in a for v in row) * max(abs(v) for row in b for v in row)
+            if any(abs(sum(map(mul, row, col))) > k.tolerance * scale
+                   for row in a for col in zip(*b)):
+                raise ValueError(f"specialized boundaries {i}, {i + 1} no longer compose to zero")
     boundary_ranks = [rank(values, k) for values in specialized]
     out = []
     for degree in range(cpx.degrees):

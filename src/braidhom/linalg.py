@@ -7,8 +7,11 @@ entries.  Braid words and the braid generators themselves do not come here:
 they multiply by cached column plans (`ring.apply_column_plans`), which give
 every entry the same terms in the same order as `mat_mul`.
 
-Specialized matrices are lists of field values, and `rank` is the one
-Gaussian elimination over them, for every coefficient field.
+`specialize_matrix` evaluates a matrix at a point in one pass
+(`ring.specialize_rows`): a term is its coefficient times the powers of the
+values in variable order, and an entry sums its terms in dict order, so float
+values depend on term order.  Specialized matrices are lists of field values,
+and `rank` is the one Gaussian elimination over them, for every field.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 from math import isfinite
 
 from .ring import (CoefficientRing, GroupRingElement, Integers, LaurentRing, Rationals,
-                   exact_divide, sum_of_products)
+                   exact_divide, specialize_rows, sum_of_products)
 
 Matrix = tuple[tuple[GroupRingElement, ...], ...]
 
@@ -122,23 +125,9 @@ def invert(a: Matrix, ring: LaurentRing) -> Matrix:
     return tuple(tuple(det_inv * m[i][j] for j in range(n, 2 * n)) for i in range(n))
 
 
-def scalar_value(element: GroupRingElement):
-    """The coefficient of a rank-0 ring element (a bare scalar)."""
-    if element.ring.rank != 0:
-        raise ValueError("not a scalar: lattice rank is nonzero")
-    return element.coefficient(())
-
-
 def specialize_matrix(a: Matrix, assignments: dict, target) -> list[list]:
-    """Evaluate every entry at the given variable assignments.
-
-    Returns raw coefficient values (Fractions, complex numbers, ...) ready
-    for numeric linear algebra.
-    """
-    return [
-        [scalar_value(x.specialize(assignments, target)) for x in row]
-        for row in a
-    ]
+    """The value of every entry at the assignments (Fractions, complex numbers, ...)."""
+    return specialize_rows(a, assignments, target)
 
 
 def rank(rows: list[list], k: CoefficientRing) -> int:

@@ -558,22 +558,13 @@ class GroupRingElement:
         return GroupRingElement(self.ring, {-key: self.ring.coefficients.invert(coeff)})
 
     def specialize(self, assignments: dict, target: CoefficientRing) -> GroupRingElement:
-        """Substitute a numeric value for every variable.
+        """Substitute a numeric value for every variable (`specialize_rows` on one entry).
 
         `assignments` maps variable names to values coercible into `target`;
         the result lives in the rank-0 Laurent ring over `target`.  Values
         must be invertible in `target` whenever negative exponents occur.
         """
-        missing = set(self.ring.variables) - set(assignments)
-        if missing:
-            raise ValueError(f"unassigned variables: {sorted(missing)}")
-        values = [target.coerce(assignments[v]) for v in self.ring.variables]
-        total = target.zero
-        for key, coeff in self.terms.items():
-            term = target.coerce(coeff)
-            for value, e in zip(values, self.ring._unpack(key)):
-                term = target.mul(term, target.power(value, e))
-            total = target.add(total, term)
+        ((total,),) = specialize_rows([(self,)], assignments, target)
         return GroupRingElement(_scalar_ring(target), {} if target.is_zero(total) else {0: total})
 
     # -- printing and parsing -------------------------------------------------
@@ -785,6 +776,50 @@ def apply_column_plans(start, plans) -> tuple[tuple[GroupRingElement, ...], ...]
                 out.append(acc)
             rows[r] = out
     return tuple(tuple(GroupRingElement(ring, terms) for terms in row) for row in rows)
+
+
+def specialize_rows(rows, assignments: dict, target: CoefficientRing) -> list[list]:
+    """The value in `target` of every entry of `rows` (all in one ring) at the assignments.
+
+    Once per call: the variables are checked, the values coerced and each power
+    value^e computed.  Each entry keeps one order of float operations: a term is
+    coerce(coefficient) times the powers in variable order, the terms are summed
+    from target.zero in dict order, and a total target.is_zero calls zero
+    becomes target.zero.
+    """
+    ring = next((x.ring for row in rows for x in row), None)
+    variables = ring.variables if ring else ()
+    missing = set(variables) - set(assignments)
+    if missing:
+        raise ValueError(f"unassigned variables: {sorted(missing)}")
+    values = [target.coerce(assignments[v]) for v in variables]
+    coerce, add, mul, is_zero, zero = (target.coerce, target.add, target.mul, target.is_zero,
+                                       target.zero)
+    powers, factors = {}, {}  # (variable index, e) -> value^e; packed key -> its powers
+
+    def power(i, e):
+        if (i, e) not in powers:
+            powers[i, e] = target.power(values[i], e)
+        return powers[i, e]
+
+    out = []
+    for row in rows:
+        out_row = []
+        for x in row:
+            if x.ring is not ring and x.ring != ring:
+                raise ValueError(f"ring context mismatch: {ring} vs {x.ring}")
+            total = zero
+            for key, coeff in x.terms.items():
+                term = coerce(coeff)
+                pows = factors.get(key)
+                if pows is None:
+                    pows = factors[key] = [power(i, e) for i, e in enumerate(ring._unpack(key))]
+                for p in pows:
+                    term = mul(term, p)
+                total = add(total, term)
+            out_row.append(zero if is_zero(total) else total)
+        out.append(out_row)
+    return out
 
 
 # ---------------------------------------------------------------------------

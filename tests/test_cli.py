@@ -1,5 +1,6 @@
 """Tests for the command-line surface: determinism, formats, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -245,6 +246,18 @@ def test_non_finite_values_are_one_error_line(tmp_path, capsys, argv):
     assert err.startswith("error: not a finite number") and err.count("\n") == 1
 
 
+def test_homology_at_a_large_complex_point(tmp_path, capsys):
+    # Its composite rounds to about 1e-4, against entries near 1e12 and 1e8.
+    path = tmp_path / "cubic.json"
+    path.write_text(json.dumps({"schema": 1, "variables": ["x"], "ranks": [1, 2, 1],
+                                "boundaries": [[["x^3 + x", "-x"]], [["1"], ["x^2 + 1"]]]}))
+    code, out, err = run(capsys, "homology", "--complex", str(path),
+                         "--at", "x=12345.6789+0.123456789j")
+    assert code == 0
+    assert err == ""
+    assert json.loads(out)["ranks"] == [0, 0, 0]
+
+
 def test_homology_refuses_variables_the_complex_lacks(tmp_path, capsys):
     code, out, err = run(capsys, "homology", "--complex", _circle_file(tmp_path),
                          "--at", "x=2,y=3")
@@ -273,6 +286,39 @@ def test_rep_complex_specialization_keeps_its_term_order(capsys):
     )
     assert code == 0
     assert out == FROZEN_COMPLEX_REP
+
+
+# The same contract at n = 4..7, each on a word that uses every generator and
+# inverts at least two letters: md5 of the stdout bytes.
+FROZEN_COMPLEX_REP_MD5 = [
+    (4, "1,2,-3,1,-2,3", "72f877fbe6f8f3afbc012bbdc79e2352"),
+    (5, "1,-2,3,4,-1,2,-4", "6f803866eacac12cc05aaa31de9ed757"),
+    (6, "1,2,-3,4,-5,3,1", "e522a8c7d1390450e6eb87ed86d52d90"),
+    (7, "1,-2,3,4,-5,6,2,-6", "9ba82edd776da277ef026ce968048a6e"),
+]
+
+
+@pytest.mark.parametrize("n, word, digest", FROZEN_COMPLEX_REP_MD5)
+def test_rep_complex_specialization_keeps_its_term_order_for_more_strands(capsys, n, word,
+                                                                         digest):
+    code, out, _ = run(
+        capsys, "rep", "--n", str(n), "--m", "2", f"--word={word}",
+        "--specialize", "x=0.3+0.1j,d=0.7",
+    )
+    assert code == 0
+    assert hashlib.md5(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [
+    ("rep", "--n", "3", "--m", "2", "--word=1", "--specialize", "x=1e200+1j,d=1e200"),
+    ("embed", "--surface", "0,2,0", "--m", "3", "--specialize", "u=1e200+1j"),
+])
+def test_values_that_overflow_are_one_error_line(capsys, argv):
+    # Finite inputs whose specialized values overflow to nan.
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: a specialized value is not finite") and err.count("\n") == 1
 
 
 def test_helix_output(capsys):

@@ -114,6 +114,15 @@ def test_homology_ranks_at_complex_points():
     assert homology_ranks_at(cpx, degenerate) == (1, 1)
 
 
+def test_specialized_composite_is_checked_relative_to_its_entries():
+    cpx = complex_from_json({"schema": 1, "variables": ["x"], "ranks": [1, 2, 1],
+                             "boundaries": [[["x^3 + x", "-x"]], [["1"], ["x^2 + 1"]]]})
+    x = 12345.6789 + 0.123456789j
+    assert homology_ranks_at(cpx, SpecializationPoint({"x": x}, ComplexApprox())) == (0, 0, 0)
+    with pytest.raises(ValueError, match="no longer compose to zero"):
+        homology_ranks_at(cpx, SpecializationPoint({"x": x}, ComplexApprox(1e-300)))
+
+
 def test_homology_ranks_zero_maps():
     ring = LaurentRing(1, Rationals(), ("x",))
     z = ring.zero

@@ -201,6 +201,69 @@ def test_invert_rejects_non_unit_determinant():
         invert(a, ZZ)
 
 
+def reference_specialize(a, assignments, target):
+    """Entry by entry, each checking its variables, coercing the values and taking
+    every power afresh: a test oracle.
+
+    The order of operations is the contract specialize_matrix keeps: the
+    coefficient first, then the powers in variable order, then a sum from
+    target.zero in dict term order; a total target.is_zero calls zero becomes
+    target.zero.
+    """
+    out = []
+    for row in a:
+        out_row = []
+        for x in row:
+            missing = set(x.ring.variables) - set(assignments)
+            if missing:
+                raise ValueError(f"unassigned variables: {sorted(missing)}")
+            values = [target.coerce(assignments[v]) for v in x.ring.variables]
+            total = target.zero
+            for key, coeff in x.terms.items():
+                term = target.coerce(coeff)
+                for value, e in zip(values, x.ring._unpack(key)):
+                    term = target.mul(term, target.power(value, e))
+                total = target.add(total, term)
+            out_row.append(target.zero if target.is_zero(total) else total)
+        out.append(out_row)
+    return out
+
+
+NONZERO_FLOATS = st.floats(0.125, 4).flatmap(lambda v: st.sampled_from([v, -v]))
+POINTS = {
+    Rationals(): st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(bool),
+    IntegersModP(7): st.integers(1, 6),
+    ComplexApprox(): st.builds(complex, NONZERO_FLOATS, NONZERO_FLOATS | st.just(-0.0)),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from(list(POINTS)), st.integers(1, 4), st.integers(1, 5))
+def test_specialize_matrix_matches_reference(data, target, rows, cols):
+    a = data.draw(matrices(ZZ, rows, cols))
+    point = {"x": data.draw(POINTS[target]), "d": data.draw(POINTS[target])}
+    values = specialize_matrix(a, point, target)
+    # repr, so complex values agree bit for bit (0.0 and -0.0 compare equal).
+    assert repr(values) == repr(reference_specialize(a, point, target))
+    assert [[x.specialize(point, target).coefficient(()) for x in row] for row in a] == values
+    if isinstance(target, Rationals):  # an oracle that shares no code: sympy's subs
+        x, d = sympy.symbols("x d")
+        at = {x: sympy.Rational(str(point["x"])), d: sympy.Rational(str(point["d"]))}
+        expected = [[sum((c * x**i * d**j for (i, j), c in e.items()), sympy.Integer(0)).subs(at)
+                     for e in row] for row in a]
+        assert [[sympy.Rational(str(v)) for v in row] for row in values] == expected
+
+
+def test_specialize_matrix_refusals():
+    for target, zero in ((Rationals(), 0), (IntegersModP(7), 7), (ComplexApprox(), 0j)):
+        with pytest.raises(ValueError):
+            specialize_matrix(as_matrix([[X, X**-1]]), {"x": zero, "d": 1}, target)
+    with pytest.raises(ValueError, match="unassigned variables"):
+        specialize_matrix(as_matrix([[X]]), {"x": 2}, Rationals())
+    with pytest.raises(ValueError, match="ring context mismatch"):
+        specialize_matrix(as_matrix([[X, QQ.var("x")]]), {"x": 2, "d": 3}, Rationals())
+
+
 def test_specialize_matrix_values():
     a = as_matrix([[X + D, ZZ.one], [X * D, ZZ.zero]])
     values = specialize_matrix(a, {"x": 2, "d": 3}, Rationals())
