@@ -152,12 +152,6 @@ class FiniteChainComplex:
     def degrees(self) -> int:
         return len(self.ranks)
 
-    def adjacent_boundaries(self, degree: int) -> tuple[Matrix | None, Matrix | None]:
-        """The two matrices touching the given degree (either may be absent)."""
-        below = self.boundaries[degree - 1] if degree >= 1 else None
-        above = self.boundaries[degree] if degree < len(self.boundaries) else None
-        return below, above
-
 
 @value_class
 class SpecializationPoint:
@@ -343,7 +337,7 @@ def shapiro_double_cover_check(k: CoefficientRing) -> ShapiroVerdict:
     h0_rank, h1_rank = homology_ranks_at(cpx, point)
     torsion_free = True
     if isinstance(k, Integers):
-        entries = [1, -1, -1, 1]
+        entries = [entry.coefficient(()) for row in d for entry in row]
         det = entries[0] * entries[3] - entries[1] * entries[2]
         first_divisor = gcd(*(abs(e) for e in entries))
         torsion_free = det == 0 and first_divisor == 1

@@ -366,10 +366,6 @@ class LaurentRing:
         exps = tuple(1 if j == i else 0 for j in range(self.rank))
         return self.monomial(exps)
 
-    @property
-    def gens(self) -> tuple[GroupRingElement, ...]:
-        return tuple(self.gen(i) for i in range(self.rank))
-
     def var(self, name: str) -> GroupRingElement:
         return self.gen(self.variables.index(name))
 

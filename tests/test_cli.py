@@ -2,9 +2,11 @@
 
 import hashlib
 import json
+import sys
 
 import pytest
 
+from braidhom import checks
 from braidhom.cli import main
 from braidhom.homology import circle_complex, complex_to_json
 from braidhom.ring import Integers, LaurentRing
@@ -360,3 +362,129 @@ def test_verify_passes(capsys):
     lines = out.strip().splitlines()
     assert lines[-1].endswith("checks passed")
     assert all(line.startswith("ok") for line in lines[:-1])
+
+
+@pytest.mark.parametrize("name, check", checks.CHECKS, ids=[name for name, _ in checks.CHECKS])
+def test_each_verify_check_holds(name, check):
+    assert check() is None
+
+
+def test_verify_reports_a_failing_check(capsys, monkeypatch):
+    failing = tuple(
+        (name, (lambda: "boom") if name == "braid-relations" else check)
+        for name, check in checks.CHECKS
+    )
+    monkeypatch.setattr(checks, "CHECKS", failing)
+    code, out, err = run(capsys, "verify")
+    assert code == 1
+    lines = out.splitlines()
+    assert "FAIL braid-relations: boom" in lines
+    assert sum(line.startswith("ok   ") for line in lines) == 12
+    assert lines[-1] == "12/13 checks passed"
+    assert err == "error: 1 verification checks failed\n"
+
+
+# md5 of (argv, exit code, stdout, stderr) for every subcommand in each format,
+# the latex refusals, one error path per subcommand, verify, and the --help texts,
+# taken before the CLI was reorganised.  CIRCLE names a serialized circle complex.
+FROZEN_CLI_CALLS = [
+    (("basis", "--surface", "0,3,0", "--m", "2"), "c3204d5240271e95c831e0e14d49666f"),
+    (("basis", "--surface", "1,2,1", "--m", "2", "--side", "out", "--flavour", "lf_image",
+      "--format", "text"),
+     "2f8abf4ae50973bf72502b49827f06b6"),
+    (("basis", "--surface", "0,3,0", "--m", "2", "--format", "latex"),
+     "1eb68f56a1f2f631d1561008269c6ea3"),
+    (("basis", "--surface", "0,1,0", "--m", "1"), "81067b50759c0ba9510ed15fed9775c1"),
+    (("pairing", "--surface", "0,3,0", "--m", "2"), "48acb2b9c80dd2d93ff9b212e863fd51"),
+    (("pairing", "--surface", "0,3,0", "--m", "2", "--geometric", "--format", "text"),
+     "e9bbb33a1b608add91bee5c2f98fe830"),
+    (("pairing", "--surface", "0,2,1", "--m", "2", "--side", "out", "--geometric", "--format",
+      "latex"),
+     "278d6390e5a8953fc3a268c5a24910cc"),
+    (("pairing", "--surface", "0,3", "--m", "2"), "0c64bc071919fa16939d92b0dc23381a"),
+    (("embed", "--surface", "0,3,0", "--m", "2"), "eb9b2385995eb7644f17e7f82dcbc2fb"),
+    (("embed", "--surface", "0,3,0", "--m", "2", "--direction", "out", "--format", "text"),
+     "09ed5b35a0996761205c99084043e8e4"),
+    (("embed", "--surface", "0,3,0", "--m", "2", "--format", "latex"),
+     "c9361aca45000411b60acd7f99aa6ee8"),
+    (("embed", "--surface", "0,2,1", "--m", "3", "--specialize", "u=1/3"),
+     "5ab59b22ce077e3c00d33560cb306394"),
+    (("embed", "--surface", "0,2,1", "--m", "3", "--specialize", "u=0.5+1j", "--format",
+      "text"),
+     "9ae15b538515eac4273a62791c2a8c8b"),
+    (("embed", "--surface", "0,2,1", "--m", "3", "--specialize", "u=2", "--format", "latex"),
+     "ecbf9644500623c8b6219ec2f6dead7a"),
+    (("embed", "--surface", "0,3,0", "--m", "2", "--specialize", "x=2"),
+     "7bf802766bcbc83b023feb85ccec9b18"),
+    (("rep", "--n", "4", "--m", "2", "--word=1,-2,3"), "464bf41657418ec93a0e59bfa64b7a4c"),
+    (("rep", "--n", "4", "--m", "1", "--word=1,-2,3", "--format", "text"),
+     "446d6c0c6695dc372e61853f9188d830"),
+    (("rep", "--n", "3", "--m", "2", "--word=2,-1", "--format", "latex"),
+     "2f0f3155c544df78e9197524c41c97e0"),
+    (("rep", "--n", "4", "--m", "2", "--word=1,-3", "--specialize", "x=1/2,d=-3"),
+     "117145544aeb041f5488e15e7d167374"),
+    (("rep", "--n", "4", "--m", "2", "--word=1,-3", "--specialize", "x=0.3+0.1j,d=0.7",
+      "--format", "text"),
+     "006883c2910726efda8d615f1d4e9fbc"),
+    (("rep", "--n", "3", "--m", "1", "--word=1", "--specialize", "x=2", "--format", "latex"),
+     "e53b1c4f51d1508e6a71c017bc8712b3"),
+    (("rep", "--n", "3", "--m", "2", "--word=1,a"), "4f9e4d6e9e9c8d6030b5c538a6bbcc4d"),
+    (("rep", "--n", "3", "--m", "2", "--word=1", "--specialize", "x=2"),
+     "4e78168a7fd4ea6beb4e63db0832aef9"),
+    (("generic-check", "--m", "2", "--theta-x", "2", "--theta-d", "3"),
+     "34e9d8a2d9a0d20ff72e4b3132c179fc"),
+    (("generic-check", "--m", "1", "--theta-x", "1", "--format", "text"),
+     "43a78fb604424ac08caa841b019d8153"),
+    (("generic-check", "--m", "2", "--theta-x", "0.5+0.5j", "--theta-d", "2", "--format",
+      "latex"),
+     "5f450f5b078056fc211bcf78e7b09297"),
+    (("generic-check", "--m", "2", "--theta-x", "2"), "d4484cbead57d7b4c7f21804088a63e4"),
+    (("homology", "--complex", "CIRCLE", "--at", "x=2"), "0b0a6d87f7141ebdc3e9aa39b1d1829a"),
+    (("homology", "--complex", "CIRCLE", "--at", "x=1", "--format", "text"),
+     "ccb505bfd054bf37256f9b5d71bc29ea"),
+    (("homology", "--complex", "CIRCLE", "--at", "x=0.5+0.5j", "--format", "latex"),
+     "e1333c5b2f28d2e19b1a42c67b951a60"),
+    (("homology", "--complex", "/nonexistent.json"), "26b0d9c3e1ac8ddf39186cc382777e9c"),
+    (("helix", "--surface", "0,3,0", "--m", "1", "--e", "1,0", "--y", "1,0", "--z", "0,1"),
+     "f98873a689e5a0418a39b59eb1e1bff5"),
+    (("helix", "--surface", "0,3,0", "--m", "2", "--e", "1,1", "--y", "1,0", "--z", "0,1",
+      "--format", "text"),
+     "84ffaceab43ac24e647258140929c52b"),
+    (("helix", "--surface", "0,3,0", "--m", "1", "--e", "1,0", "--y", "1,0", "--z", "0,1",
+      "--format", "latex"),
+     "1901010dcf849851758465569172b9be"),
+    (("helix", "--surface", "0,3,0", "--m", "1", "--e", "1,0", "--y", "0,0", "--z", "0,1"),
+     "373cd4432eeb209a8024a99a8ed5d3c9"),
+    (("verify",), "7d9dca0b013fbc87ecadb73e68451d9c"),
+    (("--help",), "2020d2825e827c4b3088c150eb0e9faa"),
+    (("basis", "--help"), "3834e29061c7bc5d3955b91a00a8603f"),
+    (("pairing", "--help"), "319c1afcb7f9f2793017ed8d8d108f1f"),
+    (("embed", "--help"), "1027604631baf401ec7b81f7311dad10"),
+    (("rep", "--help"), "616f17a9a47e3165cf5015a3b1810388"),
+    (("generic-check", "--help"), "d8e17705675cb71f29032fa1bb23414f"),
+    (("homology", "--help"), "51ee1b0428aad50ea3c3cfff5422653c"),
+    (("helix", "--help"), "5801ccf417958aeac12be515f74c03de"),
+    (("verify", "--help"), "1c4187d4d53a045beaa525cadbce13ba"),
+]
+
+# From Python 3.13 argparse keeps the subcommand choices and "..." on one usage line.
+FROZEN_CLI_CALLS_313 = {("--help",): "18cc0fb6ac39989cf7cbcca37d33348e"}
+
+
+def cli_call_digest(capsys, argv, circle_path):
+    real = [circle_path if a == "CIRCLE" else a for a in argv]
+    try:
+        code = main(real)
+    except SystemExit as exit_:
+        code = exit_.code
+    captured = capsys.readouterr()
+    record = json.dumps([list(argv), code, captured.out, captured.err])
+    return hashlib.md5(record.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("argv, digest", FROZEN_CLI_CALLS)
+def test_cli_bytes_are_frozen(tmp_path, capsys, monkeypatch, argv, digest):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    if sys.version_info >= (3, 13):
+        digest = FROZEN_CLI_CALLS_313.get(argv, digest)
+    assert cli_call_digest(capsys, argv, _circle_file(tmp_path)) == digest
