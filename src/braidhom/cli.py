@@ -154,29 +154,26 @@ def _cmd_pairing(args) -> int:
 
 
 def _cmd_embed(args) -> int:
+    from .compositions import compositions
     from .embeddings import embedding_matrix
-    from .ring import LaurentRing, quantum_factorial
+    from .ring import LaurentRing, quantum_factorial_product
     from .surfaces import standard_local_system
 
     triad = _parse_surface(args)
-    system = standard_local_system(args.m)
-    embedding = embedding_matrix(triad, args.direction, system)
-    comps = embedding.compositions
+    comps = compositions(triad.arc_count, triad.points)
     if args.specialize is None:
+        embedding = embedding_matrix(triad, args.direction, standard_local_system(args.m))
         diagonal = [entry.to_text() for entry in embedding.diagonal]
     else:
         assignments = _parse_assignments(args.specialize)
         if set(assignments) != {"u"}:
             raise ValueError("embed specializes the swap unit only: --specialize u=VALUE")
         field = _field_for(assignments.values())
-        scalars = LaurentRing(0, field)
-        u = scalars.scalar(assignments["u"])
-        diagonal = []
-        for e in comps:
-            value = scalars.one
-            for part in e:
-                value = value * quantum_factorial(part, u)
-            diagonal.append(_value_str(field, value.coefficient(())))
+        u = LaurentRing(0, field).scalar(assignments["u"])
+        if field.is_zero(u.coefficient(())):
+            raise ValueError(f"the swap unit must be a unit, got u={assignments['u']}")
+        diagonal = [_value_str(field, quantum_factorial_product(e, u).coefficient(()))
+                    for e in comps]
     payload = {**_surface_fields(triad), "direction": args.direction, "diagonal": diagonal}
     lines = [f"{','.join(str(p) for p in e)}: {entry}" for e, entry in zip(comps, diagonal)]
     cells = [[entry if r == c else "0" for c in range(len(diagonal))]

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 
 from .compositions import compositions
-from .ring import GroupRingElement, quantum_factorial
+from .ring import GroupRingElement, quantum_factorial_product
 from .surfaces import BasisClass, LocalSystem, SurfaceTriad, check_homogeneity
 from .values import value_class
 
@@ -64,14 +64,9 @@ def embedding_matrix(
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
     check_homogeneity(triad, system)
-    u = system.u
-    diagonal = []
-    for e in compositions(triad.arc_count, triad.points):
-        entry = system.ring.one
-        for part in e:
-            entry = entry * quantum_factorial(part, u)
-        diagonal.append(entry)
-    return EmbeddingMatrix(triad, direction, system, tuple(diagonal))
+    diagonal = tuple(quantum_factorial_product(e, system.u)
+                     for e in compositions(triad.arc_count, triad.points))
+    return EmbeddingMatrix(triad, direction, system, diagonal)
 
 
 @value_class

@@ -23,7 +23,7 @@ from __future__ import annotations
 from itertools import permutations, product
 
 from .linalg import Matrix, identity
-from .ring import GroupRingElement, LaurentRing, quantum_factorial
+from .ring import GroupRingElement, LaurentRing, quantum_factorial_product
 from .surfaces import BasisClass, LocalSystem, SurfaceTriad, basis, check_homogeneity, dimension
 from .values import value_class
 
@@ -196,7 +196,4 @@ def closed_form_pairing(
     """The oracle: delta_{e,f} * prod_i [e_i]_u! via quantum factorials."""
     if left != right:
         return u.ring.zero
-    result = u.ring.one
-    for part in left:
-        result = result * quantum_factorial(part, u)
-    return result
+    return quantum_factorial_product(left, u)

@@ -141,6 +141,8 @@ class Rationals(CoefficientRing):
     is_field = True
 
     def coerce(self, value):
+        if type(value) is Fraction:  # immutable, so returned as it is
+            return value
         if isinstance(value, bool):
             raise TypeError(f"not a rational: {value!r}")
         if isinstance(value, (int, Fraction)):
@@ -902,4 +904,16 @@ def quantum_factorial(n: int, u: GroupRingElement) -> GroupRingElement:
     result = u.ring.one
     for j in range(2, n + 1):
         result = result * quantum_integer(j, u)
+    return result
+
+
+def quantum_factorial_product(parts, u: GroupRingElement) -> GroupRingElement:
+    """prod_i [e_i]_u! over the parts e_i of a composition, multiplied left to right.
+
+    This is the diagonal entry of an embedding matrix and the closed form of
+    the geometric pairing of a class with itself.
+    """
+    result = u.ring.one
+    for part in parts:
+        result = result * quantum_factorial(part, u)
     return result

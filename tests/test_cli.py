@@ -47,6 +47,15 @@ def test_embed_specialized(capsys):
     assert data["diagonal"] == ["3", "1", "3"]
 
 
+@pytest.mark.parametrize("value", ["0", "0/5", "0.0", "0j"])
+def test_embed_refuses_a_swap_unit_that_is_not_a_unit(capsys, value):
+    code, out, err = run(capsys, "embed", "--surface", "0,3,0", "--m", "2",
+                         "--specialize", f"u={value}")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: the swap unit must be a unit") and err.count("\n") == 1
+
+
 def test_rep_braid_equal_words_are_byte_identical(capsys):
     _, first, _ = run(capsys, "rep", "--n", "3", "--m", "1", "--word", "1,2,1")
     _, second, _ = run(capsys, "rep", "--n", "3", "--m", "1", "--word", "2,1,2")

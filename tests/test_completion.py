@@ -1,11 +1,17 @@
 """Tests for the completed group ring and helix classes."""
 
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from braidhom import completion
 from braidhom.braid import disc_triad
 from braidhom.completion import (
+    RAY_DIRECTIONS,
+    SCAN_BUDGET,
     CompletedElement,
     CompletedVector,
     Ray,
@@ -305,3 +311,117 @@ def test_json_round_trip_rationals():
     )
     back = completed_from_json(ring, completed_to_json(c))
     assert equal(back, c)
+
+
+# ---------------------------------------------------------------------------
+# the residue test against the period scan
+# ---------------------------------------------------------------------------
+
+COEFFICIENTS = (Integers(), Rationals(), IntegersModP(5), IntegersModP(7))
+UNITS = ((1, 0), (0, 1), (1, 1), (2, -1))
+
+
+def _scan_verdict(c):
+    k = c.ring.coefficients
+    return all(completion._scan_vanishes(k, line) for line in completion._lines(c))
+
+
+@st.composite
+def _ray_family(draw):
+    """A ray, and partners that cancel it or nearly do, all on one line.
+
+    Partners are shifted by whole periods or by part of one, with the
+    pattern rotated to match or not, split into two rays of twice the
+    stride, or glued from a "fwd" ray each way and a "bi" one; strides 5 and
+    7 make F_5 and F_7 fall back to the scan.
+    """
+    unit = draw(st.sampled_from(UNITS))
+    anchor = draw(st.sampled_from(((0, 0), (0, 1), (3, -2))))
+    stride = draw(st.sampled_from((1, 2, 3, 5, 7))) * draw(st.sampled_from((1, -1)))
+    pattern = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3))
+    direction = draw(st.sampled_from(RAY_DIRECTIONS))
+    length = len(pattern)
+
+    def ray(offset, step, values, kind=direction):
+        base = tuple(a + offset * u for a, u in zip(anchor, unit))
+        return Ray(base, tuple(step * u for u in unit), tuple(values), kind)
+
+    offset = draw(st.integers(-4, 4))
+    rays = [ray(offset, stride, pattern)]
+    kinds = ("whole", "part", "unrotated", "split", "glued")
+    for how in draw(st.lists(st.sampled_from(kinds), max_size=2)):
+        j = draw(st.integers(-3, 3))
+        if how == "whole":
+            rays.append(ray(offset + j * length * stride, stride, [-v for v in pattern]))
+        elif how == "part":
+            rotated = [-pattern[(i + j) % length] for i in range(length)]
+            rays.append(ray(offset + j * stride, stride, rotated))
+        elif how == "unrotated":
+            rays.append(ray(offset + j * stride, stride, [-v for v in pattern]))
+        elif how == "split":
+            for parity in (0, 1):
+                halves = [-pattern[(2 * i + parity) % length] for i in range(length)]
+                rays.append(ray(offset + parity * stride, 2 * stride, halves))
+        else:  # the ray's "fwd" half from offset, and the other half running backwards
+            sign = -1 if direction == "bi" else 1
+            backwards = [sign * pattern[(-1 - i) % length] for i in range(length)]
+            rays.append(ray(offset - stride, -stride, backwards, "fwd"))
+            rays.append(ray(offset, stride, [-sign * v for v in pattern],
+                            "fwd" if direction == "bi" else "bi"))
+    if draw(st.booleans()):  # perturb one coefficient
+        last = rays[-1]
+        rays[-1] = Ray(last.base, last.step, (last.pattern[0] + 1,) + last.pattern[1:],
+                       direction)
+    return rays
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(COEFFICIENTS), st.lists(_ray_family(), min_size=1, max_size=3))
+def test_residue_test_agrees_with_the_scan(k, families):
+    ring = LaurentRing(2, k, ("y", "z"))
+    elements = [CompletedElement(ring, ring.zero, tuple(rays)) for rays in families]
+    elements.append(CompletedElement(ring, ring.one, tuple(r for rays in families for r in rays)))
+    for c in elements:
+        assert is_in_group_ring(c) == _scan_verdict(c)
+
+
+def _prime_stride_rays(perturb: bool):
+    # six bi-infinite rays with prime strides 7..23, each with its negative one
+    # stride further on: lcm 7436429, out of reach of a scan
+    rays = []
+    for i, q in enumerate((7, 11, 13, 17, 19, 23)):
+        step = (q, 2 * q)
+        rays.append(Ray((i, 2 * i), step, (i + 1,), "bi"))
+        negative = -(i + 1) + (perturb and q == 13)
+        rays.append(Ray((i + q, 2 * (i + q)), step, (negative,), "bi"))
+    return CompletedElement(RING, RING.zero, tuple(rays))
+
+
+def test_prime_stride_rays_with_their_negatives_are_members_at_once():
+    c = _prime_stride_rays(perturb=False)
+    start = time.perf_counter()
+    assert is_in_group_ring(c)
+    assert time.perf_counter() - start < 0.1
+    assert to_group_ring(c) == RING.zero
+
+
+def test_prime_stride_rays_with_one_pattern_perturbed_are_not():
+    c = _prime_stride_rays(perturb=True)
+    start = time.perf_counter()
+    assert not is_in_group_ring(c)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_scan_fallback_refuses_past_its_budget():
+    # over F_5 a period divisible by 5 needs the scan, here 2 * 5*10^6 * 2 lookups
+    stride = 5 * 10**6
+    assert 2 * stride * 2 > SCAN_BUDGET
+    for p, verdict in ((5, None), (7, True)):
+        ring = LaurentRing(2, IntegersModP(p), ("y", "z"))
+        c = CompletedElement(ring, ring.zero, (Ray((0, 0), (stride, 0), (1,), "bi"),
+                                               Ray((stride, 0), (stride, 0), (p - 1,), "bi")))
+        if verdict is None:
+            with pytest.raises(ValueError, match="budget"):
+                is_in_group_ring(c)
+        else:  # p divides no period: the residue test decides
+            assert is_in_group_ring(c) is verdict
