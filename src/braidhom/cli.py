@@ -31,6 +31,24 @@ FORMATS = ("json", "latex", "text")
 # ---------------------------------------------------------------------------
 
 
+# Flags whose value may begin with "-".  argparse takes a token such as -1/2,
+# -inf or -1,2 for a flag unless it is a plain negative number like -1 or -0.5.
+DASHED_VALUE_FLAGS = frozenset({"--theta-x", "--theta-d", "--word", "--surface", "--e", "--y",
+                                "--z"})
+
+
+def _attach_dashed_values(argv: list[str]) -> list[str]:
+    """`--theta-x -1/2` as `--theta-x=-1/2`, for the flags of DASHED_VALUE_FLAGS."""
+    out: list[str] = []
+    for token in argv:
+        if (out and out[-1] in DASHED_VALUE_FLAGS and token.startswith("-")
+                and not token.startswith("--") and token != "-h"):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def _parse_ints(text: str, flag: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
@@ -157,7 +175,7 @@ def _cmd_embed(args) -> int:
     from .compositions import compositions
     from .embeddings import embedding_matrix
     from .ring import LaurentRing, quantum_factorial_product
-    from .surfaces import standard_local_system
+    from .surfaces import LocalSystem, check_homogeneity, standard_local_system
 
     triad = _parse_surface(args)
     comps = compositions(triad.arc_count, triad.points)
@@ -172,6 +190,7 @@ def _cmd_embed(args) -> int:
         u = LaurentRing(0, field).scalar(assignments["u"])
         if field.is_zero(u.coefficient(())):
             raise ValueError(f"the swap unit must be a unit, got u={assignments['u']}")
+        check_homogeneity(triad, LocalSystem(u.ring, u))
         diagonal = [_value_str(field, quantum_factorial_product(e, u).coefficient(()))
                     for e in comps]
     payload = {**_surface_fields(triad), "direction": args.direction, "diagonal": diagonal}
@@ -360,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_attach_dashed_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.handler(args)
     except (ValueError, OSError, ArithmeticError) as error:

@@ -1,17 +1,21 @@
 """Exact-matrix helpers over a Laurent ring, and ranks over a field.
 
-Matrices are immutable tuples of tuples of GroupRingElement.  Products and
-fraction-free inversion sum each entry in one accumulator with
-`ring.sum_of_products` and check the ring once per matrix, skipping zero
-entries.  Braid words and the braid generators themselves do not come here:
-they multiply by cached column plans (`ring.apply_column_plans`), which give
-every entry the same terms in the same order as `mat_mul`.
+Matrices are immutable tuples of tuples of GroupRingElement, checked for one
+ring once per matrix.  `mat_mul` multiplies row by row over nonzero entries
+(`ring.matrix_product`) and merges each entry's products in ascending inner
+index, as `ring.sum_of_products` does, so a zero it skips changes no term and
+no term order.  Fraction-free inversion sums each entry with
+`sum_of_products`.  Braid words and the braid generators themselves do not
+come here: they multiply by cached column plans (`ring.apply_column_plans`),
+which give every entry the same terms in the same order as `mat_mul`.
 
 `specialize_matrix` evaluates a matrix at a point in one pass
 (`ring.specialize_rows`): a term is its coefficient times the powers of the
 values in variable order, and an entry sums its terms in dict order, so float
-values depend on term order.  Specialized matrices are lists of field values,
-and `rank` is the one Gaussian elimination over them, for every field.
+values depend on term order; an entry with no terms is the field's zero.
+Specialized matrices are lists of field values, and `rank` is the one
+Gaussian elimination over them, for every field.  It skips exact zeros, which
+changes no pivot and no rank (see `rank`).
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from __future__ import annotations
 from math import isfinite
 
 from .ring import (CoefficientRing, GroupRingElement, Integers, LaurentRing, Rationals,
-                   exact_divide, specialize_rows, sum_of_products)
+                   exact_divide, matrix_product, specialize_rows, sum_of_products)
 
 Matrix = tuple[tuple[GroupRingElement, ...], ...]
 
@@ -37,10 +41,15 @@ def identity(ring: LaurentRing, size: int) -> Matrix:
 
 def common_ring(ring: LaurentRing | None, *matrices: Matrix) -> LaurentRing | None:
     """The ring of every entry (and `ring`, if given); ValueError on a mix."""
-    for x in (x for m in matrices for row in m for x in row):
-        ring = ring or x.ring
-        if x.ring is not ring and x.ring != ring:
-            raise ValueError(f"ring context mismatch: {ring} vs {x.ring}")
+    for m in matrices:
+        for row in m:
+            for x in row:
+                if x.ring is ring:
+                    continue
+                if ring is None:
+                    ring = x.ring
+                elif x.ring != ring:
+                    raise ValueError(f"ring context mismatch: {ring} vs {x.ring}")
     return ring
 
 
@@ -48,11 +57,9 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if len(a[0]) != len(b):
         raise ValueError(f"shape mismatch: {len(a)}x{len(a[0])} times {len(b)}x{len(b[0])}")
     ring = common_ring(None, a, b)
-    cols = [[(i, x) for i, x in enumerate(col) if not x.is_zero()] for col in zip(*b)]
-    return tuple(
-        tuple(sum_of_products(ring, [(row[i], x) for i, x in col]) for col in cols)
-        for row in a
-    )
+    if ring is None:  # no entries at all: an empty inner dimension
+        return tuple(() for _ in a)
+    return matrix_product(ring, a, b)
 
 
 def mat_eq(a: Matrix, b: Matrix) -> bool:
@@ -139,34 +146,56 @@ def rank(rows: list[list], k: CoefficientRing) -> int:
     scaled so its largest |entry| is 1, and complete pivoting stops at the
     first pivot k.is_zero calls zero: the rank counts pivots above tolerance
     times the largest entry.  A non-finite entry raises ValueError.
+
+    Rows are kept as maps from column to entry, holding only the entries that
+    are not exactly zero (a complex zero of either sign included).  A row with
+    no entry in the pivot column is left alone, and the others are updated at
+    the pivot row's entries only.  An update skipped this way would add an
+    exact zero, so exact values are the same as with every entry kept, and
+    complex ones differ at most in the sign of a zero part, which neither
+    `abs` nor `k.is_zero` sees: every pivot, and so the rank, is the same.
     """
     if isinstance(k, Integers):
         k = Rationals()
     if k.is_exact:
-        m = [[k.coerce(v) for v in row] for row in rows]
+        coerce, zero = k.coerce, k.zero  # specialize_rows gives every zero entry as k.zero
+        m = [{j: c for j, v in enumerate(row) if v is not zero and (c := coerce(v))}
+             for row in rows]
     else:
-        if not all(isfinite(v.real) and isfinite(v.imag) for row in rows for v in row):
+        nonzero = [[(j, v) for j, v in enumerate(row) if v] for row in rows]
+        if not all(isfinite(v.real) and isfinite(v.imag) for row in nonzero for _, v in row):
             raise ValueError("cannot take the rank of a matrix with non-finite entries")
-        scale = max((abs(v) for row in rows for v in row), default=0)
-        m = [[v / scale for v in row] for row in rows] if scale else []
+        scale = max((abs(v) for row in nonzero for _, v in row), default=0)
+        m = [{j: s for j, v in row if (s := v / scale)} for row in nonzero] if scale else []
+    m = [row for row in m if row]
     add, mul, is_zero = k.add, k.mul, k.is_zero
     count = 0
-    while m and m[0]:
+    while m:
         if k.is_exact:  # the first nonzero entry, column by column
-            i, j = next(((i, j) for j in range(len(m[0])) for i, row in enumerate(m)
-                         if not is_zero(row[j])), (0, 0))
+            j = min(min(row) for row in m)
+            i = next(i for i, row in enumerate(m) if j in row)
         else:  # the largest |entry|
-            sizes = [max(map(abs, row)) for row in m]
+            sizes = [max(map(abs, row.values())) for row in m]
             i = sizes.index(max(sizes))
-            j = list(map(abs, m[i])).index(sizes[i])
-        if is_zero(m[i][j]):
-            break
+            j = min(c for c, v in m[i].items() if abs(v) == sizes[i])
+            if is_zero(m[i][j]):
+                break
         pivot = m.pop(i)
         minus_inverse = k.neg(k.invert(pivot.pop(j)))
+        pivot_entries = pivot.items()
         for row in m:
-            factor = mul(row.pop(j), minus_inverse)
+            v = row.pop(j, None)
+            if v is None:
+                continue
+            factor = mul(v, minus_inverse)
             if factor:
-                row[:] = [add(v, mul(factor, w)) for v, w in zip(row, pivot)]
+                for c, w in pivot_entries:
+                    s = add(row[c], mul(factor, w)) if c in row else mul(factor, w)
+                    if s:
+                        row[c] = s
+                    else:
+                        row.pop(c, None)
+        m = [row for row in m if row]
         count += 1
     return count
 

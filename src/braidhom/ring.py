@@ -10,9 +10,10 @@ order.  `element`, `monomial`, `parse` and `from_json_terms` reject exponents
 beyond EXPONENT_BOUND = 2^31 - 1, and `**` rejects powers beyond it (for an element
 with several terms, result exponents too).  Arithmetic is exact while exponents stay
 within +-(2^63 - 1); `*` raises ValueError for a product that would leave that range,
-while the matrix kernels (`sum_of_products`, `apply_column_plans`) trust their
-inputs.  A product with a one-term factor (most braid generator entries) is one shift
-and scale.  Other modules see exponents as tuples (`coefficient`, `support`, `items`).
+while the matrix kernels (`sum_of_products`, `matrix_product`, `apply_column_plans`)
+trust their inputs.  A product with a one-term factor (most braid generator entries)
+is one shift and scale.  Other modules see exponents as tuples (`coefficient`,
+`support`, `items`).
 
 Supported coefficient rings k: the integers, the rationals, the integers mod a
 prime, and tolerance-based complex floats.  The first three are integral
@@ -701,6 +702,33 @@ def sum_of_products(ring: LaurentRing, pairs) -> GroupRingElement:
     return GroupRingElement(ring, acc)
 
 
+def matrix_product(ring: LaurentRing, a, b) -> tuple[tuple[GroupRingElement, ...], ...]:
+    """The product of the matrices `a` and `b` over `ring`; callers check ring and shapes.
+
+    Row by row over nonzero entries only: row i of `a` meets the nonzero
+    entries of row i of `b`, and each output column keeps one accumulator.  The
+    products of an entry arrive in ascending inner index and merge by the rule
+    of `sum_of_products`, so every entry has the same terms in the same dict
+    order as that sum over the inner index would give it.
+    """
+    k = ring.coefficients
+    b_rows = [[(j, x.terms) for j, x in enumerate(row) if x.terms] for row in b]
+    width = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        accs: list = [None] * width
+        for x, b_row in zip(row, b_rows):
+            f = x.terms
+            if not f:
+                continue
+            for j, g in b_row:
+                product = _product(k, f, g)
+                acc = accs[j]
+                accs[j] = _accumulate(k, acc, product) if acc else product
+        out.append(tuple(GroupRingElement(ring, acc or {}) for acc in accs))
+    return tuple(out)
+
+
 def column_plan(matrix) -> tuple:
     """Compile a matrix over Z[Z^d] for `apply_column_plans`; ValueError for other coefficients.
 
@@ -783,7 +811,8 @@ def specialize_rows(rows, assignments: dict, target: CoefficientRing) -> list[li
     value^e computed.  Each entry keeps one order of float operations: a term is
     coerce(coefficient) times the powers in variable order, the terms are summed
     from target.zero in dict order, and a total target.is_zero calls zero
-    becomes target.zero.
+    becomes target.zero.  An entry with no terms is target.zero at once, which
+    is what summing no terms from target.zero gives.
     """
     ring = next((x.ring for row in rows for x in row), None)
     variables = ring.variables if ring else ()
@@ -806,6 +835,9 @@ def specialize_rows(rows, assignments: dict, target: CoefficientRing) -> list[li
         for x in row:
             if x.ring is not ring and x.ring != ring:
                 raise ValueError(f"ring context mismatch: {ring} vs {x.ring}")
+            if not x.terms:
+                out_row.append(zero)
+                continue
             total = zero
             for key, coeff in x.terms.items():
                 term = coerce(coeff)

@@ -56,6 +56,18 @@ def test_embed_refuses_a_swap_unit_that_is_not_a_unit(capsys, value):
     assert err.startswith("error: the swap unit must be a unit") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("value", ["5", "2/3", "0.5+1j"])
+def test_embed_keeps_a_one_point_system_one_homogeneous(capsys, value):
+    # embedding_matrix refuses the same system; every part is 0 or 1, so only u = 1 is allowed.
+    code, out, err = run(capsys, "embed", "--surface", "0,3,0", "--m", "1",
+                         "--specialize", f"u={value}")
+    assert (code, out) == (1, "")
+    assert err == "error: a one-point system is 1-homogeneous; u must equal 1\n"
+    code, out, err = run(capsys, "embed", "--surface", "0,3,0", "--m", "1", "--specialize", "u=1")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["diagonal"] == ["1", "1"]
+
+
 def test_rep_braid_equal_words_are_byte_identical(capsys):
     _, first, _ = run(capsys, "rep", "--n", "3", "--m", "1", "--word", "1,2,1")
     _, second, _ = run(capsys, "rep", "--n", "3", "--m", "1", "--word", "2,1,2")
@@ -170,6 +182,21 @@ def test_generic_check_text(capsys):
     )
     assert code == 0
     assert out.strip() == "generic"
+
+
+@pytest.mark.parametrize("argv, code, expected", [
+    (("generic-check", "--m", "1", "--theta-x", "-1/2"), 0, '"theta": {"x": "-1/2"}'),
+    (("generic-check", "--m", "2", "--theta-x", "2", "--theta-d", "-inf"), 1,
+     "error: not a finite number: '-inf'"),
+    (("rep", "--n", "3", "--m", "1", "--word", "-1,2"), 0, '"rows": [["-x^-1 + 1", "-x"]'),
+], ids=["fraction", "minus-infinity", "word"])
+def test_a_value_may_start_with_a_dash(capsys, argv, code, expected):
+    # argparse alone takes -1/2, -inf and -1,2 for flags; each must read as --flag=value does.
+    result = run(capsys, *argv)
+    assert result == run(capsys, *argv[:-2], f"{argv[-2]}={argv[-1]}")
+    assert result[0] == code
+    assert expected in result[1] + result[2]
+    assert (result[1] + result[2]).count("\n") == 1
 
 
 def test_homology_reads_a_complex_file(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Tests for twisted circle homology, specialization, and covering checks."""
 
+import cmath
 import random
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ from braidhom.homology import (
     shapiro_circle_check,
     shapiro_double_cover_check,
 )
-from braidhom.linalg import invert, mat_mul
+from braidhom.linalg import invert, mat_mul, specialize_matrix
 from braidhom.ring import (
     ComplexApprox,
     Integers,
@@ -171,6 +172,96 @@ def test_homology_ranks_are_chain_isomorphism_invariant():
             "homological",
         )
         assert homology_ranks_at(moved, point) == expected
+
+
+def _unitriangular(rng, size):
+    """A sparse unit upper triangular integer matrix and its inverse (back substitution)."""
+    m = [[int(i == j) for j in range(size)] for i in range(size)]
+    for i in range(size):
+        for j in range(i + 1, size):
+            if rng.random() < 0.2:
+                m[i][j] = rng.choice((-1, 1))
+    inverse = [[0] * size for _ in range(size)]
+    for col in range(size):
+        for i in reversed(range(size)):
+            inverse[i][col] = int(i == col) - sum(m[i][j] * inverse[j][col]
+                                                  for j in range(i + 1, size))
+    return m, inverse
+
+
+def _int_mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _leu_complex(rng):
+    """C2 -> C1 -> C0 over Z[x^+-1] with d1 = L E1 U and d2 = U^-1 E2 V, and its Betti numbers.
+
+    L is unit lower and U, V unit upper triangular; E1 and E2 are 0/1 diagonal
+    blocks with E1 E2 = 0, so d1 d2 = 0, rank d1 = r1 and rank d2 = r2 over
+    every field.  Each entry (i, j) is then twisted by x^(t[i] - t'[j]), which
+    keeps the composite zero and, at a nonzero point, the ranks.
+    """
+    a0, a2 = rng.randint(1, 7), rng.randint(1, 7)
+    a1 = rng.randint(max(a0, a2), 10)
+    r1 = rng.randint(0, min(a0, a1))
+    r2 = rng.randint(0, min(a2, a1 - r1))
+    e1 = [[int(i == j < r1) for j in range(a1)] for i in range(a0)]
+    e2 = [[int(i - r1 == j < r2) for j in range(a2)] for i in range(a1)]
+    lower = [list(col) for col in zip(*_unitriangular(rng, a0)[0])]
+    u, u_inverse = _unitriangular(rng, a1)
+    d1 = _int_mul(lower, _int_mul(e1, u))
+    d2 = _int_mul(u_inverse, _int_mul(e2, _unitriangular(rng, a2)[0]))
+    ring = LaurentRing(1, Integers(), ("x",))
+    t = [[rng.randint(-2, 2) for _ in range(size)] for size in (a0, a1, a2)]
+    boundaries = tuple(
+        tuple(tuple(ring.monomial((t[k][i] - t[k + 1][j],), v) if v else ring.zero
+                    for j, v in enumerate(row)) for i, row in enumerate(d))
+        for k, d in enumerate((d1, d2))
+    )
+    return ring, (a0, a1, a2), boundaries, (a0 - r1, a1 - r1 - r2, a2 - r2)
+
+
+LEU_POINTS = (
+    SpecializationPoint({"x": Fraction(3, 2)}, Rationals()),
+    SpecializationPoint({"x": 5}, IntegersModP(1_000_003)),
+    SpecializationPoint({"x": cmath.exp(0.7j)}, ComplexApprox()),
+)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_homology_ranks_of_leu_complexes(seed):
+    ring, ranks, boundaries, betti = _leu_complex(random.Random(seed))
+    homological = FiniteChainComplex(ring, ranks, boundaries, "homological")
+    # The transposed maps read cohomologically have the same Betti numbers.
+    dual = tuple(tuple(zip(*d)) for d in boundaries)
+    cohomological = FiniteChainComplex(ring, ranks, dual, "cohomological")
+    for point in LEU_POINTS:
+        assert homology_ranks_at(homological, point) == betti
+        assert homology_ranks_at(cohomological, point) == betti
+
+
+def _dense_composite_drifts(a, b, tolerance):
+    """Whether some entry of a b, summed over every inner index, exceeds tolerance times the
+    largest entries of a and b: the composite check entry by entry, as a test oracle."""
+    scale = max(abs(v) for row in a for v in row) * max(abs(v) for row in b for v in row)
+    return any(abs(sum(x * y for x, y in zip(row, col))) > tolerance * scale
+               for row in a for col in zip(*b))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_the_composite_check_agrees_with_a_dense_sum(seed):
+    ring, ranks, boundaries, betti = _leu_complex(random.Random(seed))
+    cpx = FiniteChainComplex(ring, ranks, boundaries, "homological")
+    for tolerance in (1e-9, 1e-17, 1e-300):
+        point = SpecializationPoint({"x": cmath.exp(0.7j)}, ComplexApprox(tolerance))
+        a, b = (specialize_matrix(d, point.mapping, point.field) for d in boundaries)
+        if _dense_composite_drifts(a, b, tolerance):
+            with pytest.raises(ValueError, match="no longer compose to zero"):
+                homology_ranks_at(cpx, point)
+        elif tolerance == 1e-9:  # below rounding, rank itself counts noise as rank
+            assert homology_ranks_at(cpx, point) == betti
+        else:
+            homology_ranks_at(cpx, point)
 
 
 def test_complex_validation():

@@ -61,12 +61,21 @@ COEFFICIENTS = {
 
 
 @st.composite
-def matrices(draw, ring, rows, cols):
-    """Sparse matrices with negative exponents and one optional all-zero row and column."""
+def matrices(draw, ring, rows, cols, sparse=False):
+    """Sparse matrices with negative exponents and one optional all-zero row and column.
+
+    With `sparse`, at most a fifth of the entries are drawn at all: the rest are zero.
+    """
     entry = st.dictionaries(
         st.tuples(st.integers(-2, 2), st.integers(-2, 2)), COEFFICIENTS[ring], max_size=3
     ).map(ring.element)
-    cells = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+    if sparse:
+        cells = [[ring.zero] * cols for _ in range(rows)]
+        positions = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))
+        for i, j in draw(st.sets(positions, max_size=rows * cols // 5)):
+            cells[i][j] = draw(entry)
+    else:
+        cells = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
     zero_row = draw(st.integers(0, rows))
     zero_col = draw(st.integers(0, cols))
     return as_matrix(
@@ -107,8 +116,11 @@ def test_mat_mul_shape_check():
 @given(st.data(), st.sampled_from([ZZ, QQ, F7, CC]),
        st.integers(1, 4), st.integers(1, 5), st.integers(1, 4))
 def test_mat_mul_matches_reference(data, ring, rows, inner, cols):
-    a = data.draw(matrices(ring, rows, inner))
-    b = data.draw(matrices(ring, inner, cols))
+    sparse = data.draw(st.booleans())  # at least 80% zero entries, in larger matrices
+    if sparse:
+        rows, inner, cols = 2 * rows, 2 * inner, 2 * cols
+    a = data.draw(matrices(ring, rows, inner, sparse))
+    b = data.draw(matrices(ring, inner, cols, sparse))
     if data.draw(st.booleans()):  # a column of the identity: multiplied through, not copied
         j, k = data.draw(st.integers(0, cols - 1)), data.draw(st.integers(0, inner - 1))
         b = as_matrix([ring.one if (r, c) == (k, j) else ring.zero if c == j else x
@@ -332,3 +344,59 @@ def test_rank_matches_sympy_on_products(data, k, rows, cols, inner):
 def test_rank_rejects_non_finite_entries(bad):
     with pytest.raises(ValueError, match="non-finite"):
         rank([[1.0, 2.0], [bad, 0.5]], ComplexApprox())
+
+
+def _sparse_rows(data, rows, cols, entry):
+    """A rows x cols list matrix with a sixth to a third of its entries drawn, the rest 0."""
+    cells = [[0] * cols for _ in range(rows)]
+    positions = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))
+    size = rows * cols
+    for i, j in data.draw(st.sets(positions, min_size=max(1, size // 6),
+                                  max_size=max(1, size // 3))):
+        cells[i][j] = data.draw(entry)
+    return cells
+
+
+def _low_rank(data, rows, cols, inner, entry):
+    """A product through `inner` (so of rank at most inner), then some rows and columns zeroed."""
+    if inner:
+        a, b = _sparse_rows(data, rows, inner, entry), _sparse_rows(data, inner, cols, entry)
+        product = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+    else:
+        product = [[0] * cols for _ in range(rows)]
+    zero_rows = data.draw(st.sets(st.integers(0, rows - 1), max_size=2))
+    zero_cols = data.draw(st.sets(st.integers(0, cols - 1), max_size=2))
+    return [[0 if i in zero_rows or j in zero_cols else v for j, v in enumerate(row)]
+            for i, row in enumerate(product)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.sampled_from([Rationals(), IntegersModP(2), IntegersModP(7),
+                                   IntegersModP(1_000_003)]),
+       st.integers(1, 10), st.integers(1, 10), st.integers(0, 5))
+def test_rank_matches_sympy_on_sparse_matrices(data, k, rows, cols, inner):
+    if isinstance(k, Rationals):
+        entry = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+    else:  # residues and their lifts: entries p and -p are zero mod p
+        entry = st.integers(-3, 3).filter(bool) | st.sampled_from([k.p, -k.p, k.p + 1])
+    values = _low_rank(data, rows, cols, inner, entry)
+    exact = [[sympy.Rational(v.numerator, v.denominator) if isinstance(v, Fraction) else v
+              for v in row] for row in values]
+    expected = _sympy_rank(exact, k)
+    assert expected <= inner
+    assert rank(values, k) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(1, 8), st.integers(1, 8), st.integers(0, 4))
+def test_complex_rank_with_signed_zeros_matches_the_exact_rank(data, rows, cols, inner):
+    gaussian = st.builds(complex, st.integers(-3, 3), st.integers(-3, 3)).filter(bool)
+    values = _low_rank(data, rows, cols, inner, gaussian)
+    exact = [[int(z.real) + int(z.imag) * sympy.I for z in row] for row in values]
+    signed_zero = st.sampled_from([0.0, -0.0])
+    # Every zero part, of a zero entry or of a nonzero one, gets a drawn sign.
+    values = [[complex(v.real or data.draw(signed_zero), v.imag or data.draw(signed_zero))
+               for v in row] for row in values]
+    expected = _sympy_rank(exact, ComplexApprox())
+    assert rank(values, ComplexApprox()) == expected
+    assert rank([[v * 1e-12 for v in row] for row in values], ComplexApprox()) == expected
