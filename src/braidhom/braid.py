@@ -54,15 +54,11 @@ n <= 10 (m = 1).
 Column plans.  In the pair basis a generator permutes the pairs away from
 {i, i+1}, so most of its columns hold a single 1; at n = 6 an LKB generator
 has 28 nonzeros out of 225.  Each letter is compiled once into a cached column
-plan (ring.column_plan): such a column becomes the row index to copy, any other
-its nonzero entries in ascending row order, with a one-term entry as a packed
-shift and a coefficient.  evaluate_word keeps the running product as rows of
-term maps, applies each letter as row operations (copy, shift-scale-accumulate,
-or a full product for an entry with several terms), and builds ring elements
-once at the end.  The products of an entry are merged in ascending row order,
-exactly as sum_of_products merges them, and a copy keeps the order the product
-with 1 gives, so every entry has the term order of a fold of linalg.mat_mul and
-specializations do not change.  P^-1 W P and sigma^2 go through the same kernel.
+plan (ring.column_plan), in which such a column is a row index to copy, and
+evaluate_word applies the plans to the rows of the running product, kept as
+term maps.  linalg.mat_mul runs the same kernel, so a word's entries keep the
+term order of a fold of mat_mul (the rule is in ring.apply_column_plans) and
+specializations do not change.  P^-1 W P and sigma^2 go through it too.
 """
 
 from __future__ import annotations

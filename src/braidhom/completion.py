@@ -259,17 +259,17 @@ def is_in_group_ring(c: CompletedElement) -> bool:
     rays coefficient lookups, and refuses past SCAN_BUDGET (`_scan_vanishes`).
     """
     k = c.ring.coefficients
+    return all(_line_vanishes(k, line) for line in _lines(c))
+
+
+def _line_vanishes(k, line: _Line) -> bool:
     modulus = k.p if isinstance(k, IntegersModP) else None
-    for line in _lines(c):
-        if not k.is_exact or (modulus and any(abs(stride) * len(pattern) % modulus == 0
-                                              for _, stride, pattern, _ in line.rays)):
-            vanishes = _scan_vanishes(k, line)
-        else:  # negating every position turns the lower tail into an upper one
-            lower = tuple((-offset, -stride, pattern, d) for offset, stride, pattern, d in line.rays)
-            vanishes = _tail_vanishes(k, line.rays) and _tail_vanishes(k, lower)
-        if not vanishes:
-            return False
-    return True
+    if not k.is_exact or (modulus and any(abs(stride) * len(pattern) % modulus == 0
+                                          for _, stride, pattern, _ in line.rays)):
+        return _scan_vanishes(k, line)
+    # negating every position turns the lower tail into an upper one
+    lower = tuple((-offset, -stride, pattern, d) for offset, stride, pattern, d in line.rays)
+    return _tail_vanishes(k, line.rays) and _tail_vanishes(k, lower)
 
 
 def _tail_vanishes(k, rays) -> bool:
@@ -382,11 +382,19 @@ def to_group_ring(c: CompletedElement) -> GroupRingElement:
     between their extreme basepoints, and those finitely many values merge
     into the finite part.
     """
-    if not is_in_group_ring(c):
+    if (a := _group_ring_part(c)) is None:
         raise ValueError("support is infinite; not in the group ring")
+    return a
+
+
+def _group_ring_part(c: CompletedElement) -> GroupRingElement | None:
+    """`to_group_ring(c)`, or None for infinite support; the lines are built once."""
     k = c.ring.coefficients
+    lines = _lines(c)
+    if not all(_line_vanishes(k, line) for line in lines):
+        return None
     terms = dict(c.finite.items())
-    for line in _lines(c):
+    for line in lines:
         low, high = line.offsets()
         for position in range(low, high + 1):
             value = line.value(k, position)
@@ -402,7 +410,7 @@ def to_group_ring(c: CompletedElement) -> GroupRingElement:
 
 
 def is_zero(c: CompletedElement) -> bool:
-    return is_in_group_ring(c) and to_group_ring(c).is_zero()
+    return (a := _group_ring_part(c)) is not None and a.is_zero()
 
 
 def equal(a: CompletedElement, b: CompletedElement) -> bool:

@@ -140,8 +140,6 @@ class FiniteChainComplex:
                 first, second = self.boundaries[i], self.boundaries[i + 1]
             else:
                 first, second = self.boundaries[i + 1], self.boundaries[i]
-            if not first or not first[0] or not second or not second[0]:
-                continue
             composite = mat_mul(first, second)
             if any(not entry.is_zero() for row in composite for entry in row):
                 raise ValueError(f"boundaries {i} and {i + 1} do not compose to zero")

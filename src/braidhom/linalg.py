@@ -1,13 +1,10 @@
 """Exact-matrix helpers over a Laurent ring, and ranks over a field.
 
 Matrices are immutable tuples of tuples of GroupRingElement, checked for one
-ring once per matrix.  `mat_mul` multiplies row by row over nonzero entries
-(`ring.matrix_product`) and merges each entry's products in ascending inner
-index, as `ring.sum_of_products` does, so a zero it skips changes no term and
-no term order.  Fraction-free inversion sums each entry with
-`sum_of_products`.  Braid words and the braid generators themselves do not
-come here: they multiply by cached column plans (`ring.apply_column_plans`),
-which give every entry the same terms in the same order as `mat_mul`.
+ring once per matrix.  `mat_mul` compiles its right factor into a column plan
+and applies it (`ring.column_plan`, `ring.apply_column_plans`), the kernel that
+braid words use with cached plans; its docstring states the term order every
+product keeps.  Fraction-free inversion sums each entry with `sum_of_products`.
 
 `specialize_matrix` evaluates a matrix at a point in one pass
 (`ring.specialize_rows`): a term is its coefficient times the powers of the
@@ -23,7 +20,7 @@ from __future__ import annotations
 from math import isfinite
 
 from .ring import (CoefficientRing, GroupRingElement, Integers, LaurentRing, Rationals,
-                   exact_divide, matrix_product, specialize_rows, sum_of_products)
+                   apply_column_plans, column_plan, exact_divide, specialize_rows, sum_of_products)
 
 Matrix = tuple[tuple[GroupRingElement, ...], ...]
 
@@ -54,12 +51,13 @@ def common_ring(ring: LaurentRing | None, *matrices: Matrix) -> LaurentRing | No
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if len(a[0]) != len(b):
-        raise ValueError(f"shape mismatch: {len(a)}x{len(a[0])} times {len(b)}x{len(b[0])}")
-    ring = common_ring(None, a, b)
-    if ring is None:  # no entries at all: an empty inner dimension
+    width = len(b[0]) if b else 0
+    if a and len(a[0]) != len(b):
+        raise ValueError(f"shape mismatch: {len(a)}x{len(a[0])} times {len(b)}x{width}")
+    common_ring(None, a, b)
+    if not (a and width):  # no rows, or no columns: nothing to plan
         return tuple(() for _ in a)
-    return matrix_product(ring, a, b)
+    return apply_column_plans(a, [column_plan(b)])
 
 
 def mat_eq(a: Matrix, b: Matrix) -> bool:

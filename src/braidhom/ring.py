@@ -10,8 +10,9 @@ order.  `element`, `monomial`, `parse` and `from_json_terms` reject exponents
 beyond EXPONENT_BOUND = 2^31 - 1, and `**` rejects powers beyond it (for an element
 with several terms, result exponents too).  Arithmetic is exact while exponents stay
 within +-(2^63 - 1); `*` raises ValueError for a product that would leave that range,
-while the matrix kernels (`sum_of_products`, `matrix_product`, `apply_column_plans`)
-trust their inputs.  A product with a one-term factor (most braid generator entries)
+while the matrix kernels (`sum_of_products`, and the column plans that every matrix
+product goes through) trust their inputs and keep the term order stated in
+`apply_column_plans`.  A product with a one-term factor (most braid generator entries)
 is one shift and scale.  Other modules see exponents as tuples (`coefficient`,
 `support`, `items`).
 
@@ -690,8 +691,7 @@ def _accumulate(k: CoefficientRing, acc: dict, terms: dict) -> dict:
 def sum_of_products(ring: LaurentRing, pairs) -> GroupRingElement:
     """Sum of f*g over (f, g) pairs from `ring`; callers check the ring once per matrix.
 
-    A product landing on an empty accumulator becomes it; the rest merge in place.
-    Terms keep the order the operators give: float sums over them do not change.
+    Products merge by the term-order rule of `apply_column_plans`.
     """
     k = ring.coefficients
     acc: dict[int, object] = {}
@@ -702,55 +702,29 @@ def sum_of_products(ring: LaurentRing, pairs) -> GroupRingElement:
     return GroupRingElement(ring, acc)
 
 
-def matrix_product(ring: LaurentRing, a, b) -> tuple[tuple[GroupRingElement, ...], ...]:
-    """The product of the matrices `a` and `b` over `ring`; callers check ring and shapes.
-
-    Row by row over nonzero entries only: row i of `a` meets the nonzero
-    entries of row i of `b`, and each output column keeps one accumulator.  The
-    products of an entry arrive in ascending inner index and merge by the rule
-    of `sum_of_products`, so every entry has the same terms in the same dict
-    order as that sum over the inner index would give it.
-    """
-    k = ring.coefficients
-    b_rows = [[(j, x.terms) for j, x in enumerate(row) if x.terms] for row in b]
-    width = len(b[0]) if b else 0
-    out = []
-    for row in a:
-        accs: list = [None] * width
-        for x, b_row in zip(row, b_rows):
-            f = x.terms
-            if not f:
-                continue
-            for j, g in b_row:
-                product = _product(k, f, g)
-                acc = accs[j]
-                accs[j] = _accumulate(k, acc, product) if acc else product
-        out.append(tuple(GroupRingElement(ring, acc or {}) for acc in accs))
-    return tuple(out)
-
-
 def column_plan(matrix) -> tuple:
-    """Compile a matrix over Z[Z^d] for `apply_column_plans`; ValueError for other coefficients.
+    """Compile a matrix, with at least one row and column, for `apply_column_plans`.
 
-    The plan is (ring, number of rows, columns).  A column whose one nonzero
-    entry is 1 is the row index to copy.  Any other column is a tuple of its
-    nonzero entries in ascending row order, each (row, shift, coefficient,
-    None) for a one-term entry and (row, 0, 0, term map) for an entry with
-    several terms.  The row operations use Python's own integer arithmetic,
-    where a product with 1 changes nothing and a product of nonzero terms is
-    never zero.
+    The plan is (ring, number of rows, columns); a column lists its nonzero
+    entries in ascending row order as (row, 0, 0, term map), a full product.
+    Over Z and Q, whose add, mul and is_zero are Python's operators, a product
+    with 1 changes nothing and one of nonzero terms is never zero, so a column
+    whose one nonzero entry is 1 is the row index to copy, a one-term entry is
+    (row, shift, coefficient, None), and either keeps the term order stated in
+    `apply_column_plans`.  F_p must reduce mod p, and under complex-approx a
+    product with 1 turns a -0.0 imaginary part into 0.0, so neither is used.
     """
     ring = matrix[0][0].ring
-    if not isinstance(ring.coefficients, Integers):
-        raise ValueError(f"column plans need integer coefficients, not {ring.coefficients.name}")
+    k = ring.coefficients
+    native = (k.add, k.mul, k.is_zero) == (operator.add, operator.mul, operator.not_)
     columns = []
     for col in zip(*matrix):
         entries = [(i, x.terms) for i, x in enumerate(col) if x.terms]
-        if len(entries) == 1 and entries[0][1] == {0: 1}:
+        if native and len(entries) == 1 and entries[0][1] == {0: 1}:
             columns.append(entries[0][0])
             continue
         columns.append(tuple(
-            (i, *next(iter(g.items())), None) if len(g) == 1 else (i, 0, 0, g)
+            (i, *next(iter(g.items())), None) if native and len(g) == 1 else (i, 0, 0, g)
             for i, g in entries
         ))
     return ring, len(matrix), tuple(columns)
@@ -759,11 +733,12 @@ def column_plan(matrix) -> tuple:
 def apply_column_plans(start, plans) -> tuple[tuple[GroupRingElement, ...], ...]:
     """The product of `start` (entries from one ring) with the planned matrices, in order.
 
-    Rows are kept as term maps and each plan acts on them as row operations:
-    a copy, a shift and scale of a row entry by a one-term entry, or
-    `_product` for an entry with several terms.  Every entry adds its products
-    in the order `sum_of_products` adds them, so its terms come out in the same
-    dict order as from `mat_mul`.
+    Rows are kept as term maps and each plan acts on them as row operations: a
+    copy, a shift and scale by a one-term entry, or `_product`.  Term order: an
+    entry's products arrive in ascending inner index, and a product that lands
+    on an empty accumulator becomes it (the rest merge by `_accumulate`).  So an
+    entry has the terms, in dict order, of the ring operators' sum over the
+    inner index, which is what float specializations depend on.
     """
     ring = start[0][0].ring
     k = ring.coefficients

@@ -425,3 +425,43 @@ def test_scan_fallback_refuses_past_its_budget():
                 is_in_group_ring(c)
         else:  # p divides no period: the residue test decides
             assert is_in_group_ring(c) is verdict
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(COEFFICIENTS), st.lists(_ray_family(), min_size=1, max_size=3))
+def test_recovery_and_zero_test_agree_with_the_coefficients(k, families):
+    ring = LaurentRing(2, k, ("y", "z"))
+    rays = tuple(r for rays in families for r in rays)
+    c = CompletedElement(ring, ring.one - ring.var("y"), rays)
+    if not _scan_verdict(c):
+        with pytest.raises(ValueError, match="infinite"):
+            to_group_ring(c)
+        assert not is_zero(c)
+        return
+    a = to_group_ring(c)
+    points = {tuple(b + i * s for b, s in zip(r.base, r.step)) for r in rays for i in range(-30, 31)}
+    for point in points | {(0, 0), (1, 0)}:
+        assert c.coefficient_at(point) == a.coefficient(point)
+    assert is_zero(c) is a.is_zero()
+    assert equal(c, include_group_ring(a))
+
+
+def test_is_zero_and_equal_build_the_lines_once(monkeypatch):
+    calls = []
+    lines = completion._lines
+    monkeypatch.setattr(completion, "_lines", lambda c: calls.append(c) or lines(c))
+    spiral = _full_spiral()
+    assert not is_zero(spiral) and equal(spiral, spiral)
+    a = include_group_ring(RING.one + Y)
+    assert equal(a, module_action(RING.one, a)) and not is_zero(a)
+    assert len(calls) == 4
+
+
+def test_every_membership_verdict_refuses_past_the_scan_budget():
+    stride = 5 * 10**6
+    ring = LaurentRing(2, IntegersModP(5), ("y", "z"))
+    c = CompletedElement(ring, ring.zero, (Ray((0, 0), (stride, 0), (1,), "bi"),
+                                           Ray((stride, 0), (stride, 0), (4,), "bi")))
+    for decide in (is_zero, to_group_ring, lambda c: equal(c, include_group_ring(ring.zero))):
+        with pytest.raises(ValueError, match="budget"):
+            decide(c)
