@@ -58,7 +58,8 @@ plan (ring.column_plan), in which such a column is a row index to copy, and
 evaluate_word applies the plans to the rows of the running product, kept as
 term maps.  linalg.mat_mul runs the same kernel, so a word's entries keep the
 term order of a fold of mat_mul (the rule is in ring.apply_column_plans) and
-specializations do not change.  P^-1 W P and sigma^2 go through it too.
+specializations do not change.  P^-1 W P, sigma^2 and both sides of the braid
+relations go through it too.
 """
 
 from __future__ import annotations
@@ -353,17 +354,21 @@ def dual_representation(word: BraidWord, m: int, side: str = "in") -> RepMatrix:
 
 
 def braid_relations_hold(n: int, m: int) -> bool:
-    """Check both braid relations on all generator matrices for B_n."""
+    """Check both braid relations on all generator matrices for B_n.
+
+    Each side multiplies through the cached letter plans; `mat_eq` ignores term order.
+    """
     mats = {i: _generator_entries(n, i, m) for i in range(1, n)}
+
+    def times(i, *letters):
+        return apply_column_plans(mats[i], [_letter_plan(n, letter, m) for letter in letters])
+
     for i in range(1, n - 1):
-        lhs = linalg.mat_mul(mats[i], linalg.mat_mul(mats[i + 1], mats[i]))
-        rhs = linalg.mat_mul(mats[i + 1], linalg.mat_mul(mats[i], mats[i + 1]))
-        if not linalg.mat_eq(lhs, rhs):
+        if not linalg.mat_eq(times(i, i + 1, i), times(i + 1, i, i + 1)):
             return False
     for i in range(1, n - 1):
         for j in range(i + 2, n):
-            if not linalg.mat_eq(linalg.mat_mul(mats[i], mats[j]),
-                                 linalg.mat_mul(mats[j], mats[i])):
+            if not linalg.mat_eq(times(i, j), times(j, i)):
                 return False
     return True
 

@@ -11,9 +11,13 @@ boundaries become matrices over a field and homology reduces to rank
 counting by one Gaussian elimination (`linalg.rank`): exact over the
 rationals or finite fields, and with complete pivoting and a tolerance
 relative to the largest entry over complex floats.  Boundaries are sparse,
-so the composite checks (`linalg.mat_mul` over R, and the float check after
-specializing), the specialization and the elimination touch only nonzero
-entries, with the same values and verdicts as if they touched every one.
+so the composite checks, the specialization and the elimination touch only
+nonzero entries, with the same values and verdicts as if they touched every
+one.  Over R a composite is decided on term maps: the first factor's rows go
+through the column plan of the second (`ring.plan_term_rows`, the kernel of
+every matrix product), and the check asks only whether any result is
+non-empty, building no ring element.  After specializing over complex floats
+it is a float check relative to the largest entries.
 """
 
 from __future__ import annotations
@@ -21,14 +25,16 @@ from __future__ import annotations
 from itertools import chain
 from math import gcd
 
-from .linalg import Matrix, as_matrix, common_ring, mat_mul, rank, specialize_matrix
+from .linalg import Matrix, as_matrix, common_ring, rank, specialize_matrix
 from .ring import (
     CoefficientRing,
     GroupRingElement,
     Integers,
     LaurentRing,
     Rationals,
+    column_plan,
     exact_divide,
+    plan_term_rows,
 )
 from .surfaces import LocalSystem, SurfaceTriad, check_homogeneity
 from .values import value_class
@@ -109,7 +115,7 @@ class FiniteChainComplex:
     homological and i -> i+1 when cohomological.  Matrices act on column
     vectors, so each has shape (target rank) x (source rank).  Consecutive
     composites must vanish; construction checks this over R, where it is
-    exact.
+    exact, on term maps (module docstring).
     """
 
     ring: LaurentRing
@@ -140,8 +146,11 @@ class FiniteChainComplex:
                 first, second = self.boundaries[i], self.boundaries[i + 1]
             else:
                 first, second = self.boundaries[i + 1], self.boundaries[i]
-            composite = mat_mul(first, second)
-            if any(not entry.is_zero() for row in composite for entry in row):
+            if not (first and second and second[0]):  # the composite has no entries
+                continue
+            rows = [[x.terms for x in row] for row in first]
+            if any(terms for row in plan_term_rows(self.ring, rows, [column_plan(second)])
+                   for terms in row):
                 raise ValueError(f"boundaries {i} and {i + 1} do not compose to zero")
 
     def _shape(self, i: int) -> tuple[int, int]:

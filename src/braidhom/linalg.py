@@ -3,13 +3,17 @@
 Matrices are immutable tuples of tuples of GroupRingElement, checked for one
 ring once per matrix.  `mat_mul` compiles its right factor into a column plan
 and applies it (`ring.column_plan`, `ring.apply_column_plans`), the kernel that
-braid words use with cached plans; its docstring states the term order every
-product keeps.  Fraction-free inversion sums each entry with `sum_of_products`.
+braid words and the braid relations use with cached plans and that chain
+complexes run on term maps for their composite check; the `apply_column_plans`
+docstring states the term order every product keeps.  Fraction-free inversion
+sums each entry with `sum_of_products`.
 
 `specialize_matrix` evaluates a matrix at a point in one pass
 (`ring.specialize_rows`): a term is its coefficient times the powers of the
-values in variable order, and an entry sums its terms in dict order, so float
-values depend on term order; an entry with no terms is the field's zero.
+values in variable order, and an entry sums its terms in dict order (from the
+field's zero under complex-approx, from its first term over an exact field),
+so float values depend on term order; an entry with no terms is the field's
+zero.  Over exact coefficients a one-term entry is evaluated once per call.
 Specialized matrices are lists of field values, and `rank` is the one
 Gaussian elimination over them, for every field.  It skips exact zeros, which
 changes no pivot and no rank (see `rank`).

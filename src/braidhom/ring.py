@@ -159,6 +159,11 @@ class Rationals(CoefficientRing):
             raise ValueError("0 is not a unit of the rationals")
         return 1 / Fraction(a)
 
+    def power(self, a, n: int):
+        if n >= 0:
+            return Fraction(a) ** n
+        return self.power(self.invert(a), -n)
+
     def split_sign(self, a):
         return (-1, -a) if a < 0 else (1, a)
 
@@ -226,6 +231,11 @@ class IntegersModP(CoefficientRing):
         if a % self.p == 0:
             raise ValueError(f"0 is not a unit mod {self.p}")
         return pow(a, -1, self.p)
+
+    def power(self, a, n: int):
+        if n >= 0:
+            return pow(a, n, self.p)
+        return self.power(self.invert(a), -n)
 
     def from_str(self, s: str):
         return int(s) % self.p
@@ -733,16 +743,25 @@ def column_plan(matrix) -> tuple:
 def apply_column_plans(start, plans) -> tuple[tuple[GroupRingElement, ...], ...]:
     """The product of `start` (entries from one ring) with the planned matrices, in order.
 
-    Rows are kept as term maps and each plan acts on them as row operations: a
-    copy, a shift and scale by a one-term entry, or `_product`.  Term order: an
-    entry's products arrive in ascending inner index, and a product that lands
-    on an empty accumulator becomes it (the rest merge by `_accumulate`).  So an
-    entry has the terms, in dict order, of the ring operators' sum over the
-    inner index, which is what float specializations depend on.
+    The rows of `start` go through `plan_term_rows` as term maps.  Term order:
+    an entry's products arrive in ascending inner index, and a product that
+    lands on an empty accumulator becomes it (the rest merge by `_accumulate`).
+    So an entry has the terms, in dict order, of the ring operators' sum over
+    the inner index, which is what float specializations depend on.
     """
     ring = start[0][0].ring
+    rows = plan_term_rows(ring, [[x.terms for x in row] for row in start], plans)
+    return tuple(tuple(GroupRingElement(ring, terms) for terms in row) for row in rows)
+
+
+def plan_term_rows(ring: LaurentRing, rows: list, plans) -> list:
+    """The kernel of `apply_column_plans`: `rows`, term maps of `ring`, times the plans.
+
+    Each plan acts on the rows as row operations: a copy, a shift and scale by
+    a one-term entry, or `_product`.  The rows (at least one) are replaced in
+    place and returned; an entry of the result may be a term map of `rows`.
+    """
     k = ring.coefficients
-    rows = [[x.terms for x in row] for row in start]
     for plan_ring, height, columns in plans:
         if plan_ring is not ring and plan_ring != ring:
             raise ValueError(f"ring context mismatch: {ring} vs {plan_ring}")
@@ -776,18 +795,25 @@ def apply_column_plans(start, plans) -> tuple[tuple[GroupRingElement, ...], ...]
                         acc = dict(f)
                 out.append(acc)
             rows[r] = out
-    return tuple(tuple(GroupRingElement(ring, terms) for terms in row) for row in rows)
+    return rows
 
 
 def specialize_rows(rows, assignments: dict, target: CoefficientRing) -> list[list]:
     """The value in `target` of every entry of `rows` (all in one ring) at the assignments.
 
     Once per call: the variables are checked, the values coerced and each power
-    value^e computed.  Each entry keeps one order of float operations: a term is
-    coerce(coefficient) times the powers in variable order, the terms are summed
-    from target.zero in dict order, and a total target.is_zero calls zero
-    becomes target.zero.  An entry with no terms is target.zero at once, which
-    is what summing no terms from target.zero gives.
+    value^e computed by `target.power` (by squaring over Q and F_p, left to
+    right under complex-approx).  Each entry keeps one order of float
+    operations: a term is coerce(coefficient) times the powers in variable
+    order, the terms are summed in dict order, and a total target.is_zero calls
+    zero becomes target.zero.  Under complex-approx the sum starts from
+    target.zero, since 0j + t can turn a -0.0 part of t into 0.0; over an exact
+    target it starts from the first term, since there 0 + t is t.  An entry
+    with no terms is target.zero at once, which is what summing no terms from
+    target.zero gives.  When the ring's coefficients are exact, the value of a
+    one-term entry is kept per (packed key, coefficient) for the rest of the
+    call; complex coefficients are not, because equal keys such as
+    complex(0.0, 1) and complex(-0.0, 1) are different values.
     """
     ring = next((x.ring for row in rows for x in row), None)
     variables = ring.variables if ring else ()
@@ -797,12 +823,26 @@ def specialize_rows(rows, assignments: dict, target: CoefficientRing) -> list[li
     values = [target.coerce(assignments[v]) for v in variables]
     coerce, add, mul, is_zero, zero = (target.coerce, target.add, target.mul, target.is_zero,
                                        target.zero)
+    start = None if target.is_exact else zero  # None: the sum starts from its first term
     powers, factors = {}, {}  # (variable index, e) -> value^e; packed key -> its powers
+    memo = {} if ring and ring.coefficients.is_exact else None  # (key, coeff) -> value
 
     def power(i, e):
         if (i, e) not in powers:
             powers[i, e] = target.power(values[i], e)
         return powers[i, e]
+
+    def evaluate(terms):
+        total = start
+        for key, coeff in terms.items():
+            term = coerce(coeff)
+            pows = factors.get(key)
+            if pows is None:
+                pows = factors[key] = [power(i, e) for i, e in enumerate(ring._unpack(key))]
+            for p in pows:
+                term = mul(term, p)
+            total = term if total is None else add(total, term)
+        return zero if is_zero(total) else total
 
     out = []
     for row in rows:
@@ -810,19 +850,17 @@ def specialize_rows(rows, assignments: dict, target: CoefficientRing) -> list[li
         for x in row:
             if x.ring is not ring and x.ring != ring:
                 raise ValueError(f"ring context mismatch: {ring} vs {x.ring}")
-            if not x.terms:
+            terms = x.terms
+            if not terms:
                 out_row.append(zero)
-                continue
-            total = zero
-            for key, coeff in x.terms.items():
-                term = coerce(coeff)
-                pows = factors.get(key)
-                if pows is None:
-                    pows = factors[key] = [power(i, e) for i, e in enumerate(ring._unpack(key))]
-                for p in pows:
-                    term = mul(term, p)
-                total = add(total, term)
-            out_row.append(zero if is_zero(total) else total)
+            elif memo is not None and len(terms) == 1:
+                (pair,) = terms.items()
+                value = memo.get(pair)
+                if value is None:
+                    value = memo[pair] = evaluate(terms)
+                out_row.append(value)
+            else:
+                out_row.append(evaluate(terms))
         out.append(out_row)
     return out
 

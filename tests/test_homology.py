@@ -281,6 +281,43 @@ def test_complex_validation():
     FiniteChainComplex(ring, (1, 0, 1), (((),), ()), "homological")
 
 
+@pytest.mark.parametrize("k", [Integers(), Rationals(), IntegersModP(7)])
+def test_composites_are_checked_over_each_exact_ring(k):
+    """d1 d2 cancels everywhere (x - x, x^2 - x^2) but, once d2 gains a last entry, in its
+    last row and last column, where the composite is 1: refused in both directions."""
+    ring = LaurentRing(1, k, ("x",))
+    x, o, z = ring.var("x"), ring.one, ring.zero
+    d1 = ((o, -x, z), (x, -x * x, z), (z, z, o))
+    d2 = ((x, z, z), (o, z, z), (z, z, z))
+    FiniteChainComplex(ring, (3, 3, 3), (d1, d2), "homological")
+    FiniteChainComplex(ring, (3, 3, 3), (d2, d1), "cohomological")
+    d2 = ((x, z, z), (o, z, z), (z, z, o))
+    with pytest.raises(ValueError, match="boundaries 0 and 1 do not compose to zero"):
+        FiniteChainComplex(ring, (3, 3, 3), (d1, d2), "homological")
+    with pytest.raises(ValueError, match="boundaries 0 and 1 do not compose to zero"):
+        FiniteChainComplex(ring, (3, 3, 3), (d2, d1), "cohomological")
+    if isinstance(k, IntegersModP):  # 7 = 0 mod 7: the composite 7 vanishes
+        d2 = ((x, z, z), (o, z, z), (z, z, ring.scalar(7)))
+        FiniteChainComplex(ring, (3, 3, 3), (d1, d2), "homological")
+
+
+@pytest.mark.parametrize("ranks", [(2, 0, 3), (0, 2, 3), (2, 3, 0), (0, 0, 0)])
+def test_boundaries_with_no_rows_or_no_columns_are_accepted(ranks):
+    ring = LaurentRing(1, Integers(), ("x",))
+
+    def full(rows, cols):
+        return tuple(tuple(ring.var("x") for _ in range(cols)) for _ in range(rows))
+
+    a0, a1, a2 = ranks
+    for direction, d1, d2 in (("homological", full(a0, a1), full(a1, a2)),
+                              ("cohomological", full(a1, a0), full(a2, a1))):
+        cpx = FiniteChainComplex(ring, ranks, (d1, d2), direction)
+        point = SpecializationPoint({"x": Fraction(2)}, Rationals())
+        nonzero = [int(bool(d and d[0])) for d in (d1, d2)]
+        assert homology_ranks_at(cpx, point) == (a0 - nonzero[0], a1 - sum(nonzero),
+                                                 a2 - nonzero[1])
+
+
 def test_direction_changes_which_map_is_which():
     ring = LaurentRing(1, Rationals(), ("x",))
     x = ring.var("x")

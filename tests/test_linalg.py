@@ -280,6 +280,59 @@ def test_specialize_matrix_matches_reference(data, target, rows, cols):
         assert [[sympy.Rational(str(v)) for v in row] for row in values] == expected
 
 
+SIGNED_ZERO_UNITS = (complex(0.0, 1), complex(-0.0, 1), complex(1, 0.0), complex(1, -0.0),
+                     complex(-0.0, -2), complex(-2, -0.0))
+SOURCES = {  # source coefficients, and the targets they coerce into
+    ZZ: (st.integers(-4, 4).filter(bool), list(POINTS)),
+    QQ: (st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool),
+         [Rationals(), ComplexApprox()]),
+    F7: (st.integers(1, 6), list(POINTS)),
+    CC: (st.sampled_from(SIGNED_ZERO_UNITS), [ComplexApprox()]),
+}
+EXPONENT_SETS = (tuple(range(-2, 3)), (-9, -4, -1), (0, 3, 11))  # gaps, and negative only
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.sampled_from(list(SOURCES)), st.sampled_from(EXPONENT_SETS),
+       st.integers(1, 4), st.integers(1, 5))
+def test_specialize_matrix_memo_is_invisible(data, ring, exponents, rows, cols):
+    """Repeated one-term entries, with the same and with different coefficients, give
+    the reference's values bit for bit: a one-term entry is evaluated once per call."""
+    coefficients, targets = SOURCES[ring]
+    target = data.draw(st.sampled_from(targets))
+    keys = data.draw(st.lists(st.tuples(st.sampled_from(exponents), st.sampled_from(exponents)),
+                              min_size=1, max_size=3))
+    coeffs = data.draw(st.lists(coefficients, min_size=1, max_size=3))
+    one_term = st.tuples(st.sampled_from(keys), st.sampled_from(coeffs)).map(
+        lambda kc: ring.element({kc[0]: kc[1]}))
+    several = st.dictionaries(st.tuples(st.sampled_from(exponents), st.sampled_from(exponents)),
+                              coefficients, min_size=2, max_size=3).map(ring.element)
+    cell = one_term | one_term | several | st.just(ring.zero)
+    a = as_matrix([[data.draw(cell) for _ in range(cols)] for _ in range(rows)])
+    point = {"x": data.draw(POINTS[target]), "d": data.draw(POINTS[target])}
+    assert repr(specialize_matrix(a, point, target)) == repr(reference_specialize(a, point, target))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.sampled_from(list(POINTS)), st.integers(-12, 12))
+def test_powers_match_repeated_products(data, k, e):
+    """target.power, which reference_specialize calls, against repeated `*` and sympy."""
+    v = data.draw(POINTS[k])
+    if isinstance(k, IntegersModP):
+        base, one = (v if e >= 0 else next(u for u in range(1, k.p) if u * v % k.p == 1)), 1
+        product = one
+        for _ in range(abs(e)):
+            product = product * base % k.p
+    else:
+        base, one = (v if e >= 0 else 1 / v), (Fraction(1) if k.is_exact else complex(1))
+        product = one
+        for _ in range(abs(e)):
+            product = product * base
+    assert repr(k.power(v, e)) == repr(product)
+    if isinstance(k, Rationals):
+        assert sympy.Rational(str(k.power(v, e))) == sympy.Rational(str(v)) ** e
+
+
 def test_specialize_matrix_refusals():
     for target, zero in ((Rationals(), 0), (IntegersModP(7), 7), (ComplexApprox(), 0j)):
         with pytest.raises(ValueError):

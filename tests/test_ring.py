@@ -302,6 +302,39 @@ def test_specialization_needs_units_for_negative_exponents():
         (x ** -1).specialize({"x": 0, "d": 1}, Rationals())
 
 
+def test_huge_exponents_over_a_prime_field_are_powers_by_squaring():
+    # A left-to-right chain would make 2*10^9 multiplications here.
+    p = 1_000_003
+    line = LaurentRing(1, Integers(), ("x",))
+    k = IntegersModP(p)
+    for e in (2_000_000_000, -2_000_000_000):
+        value = line.monomial((e,)).specialize({"x": 5}, k).coefficient(())
+        assert value == pow(5, e, p)
+    assert k.power(5, EXPONENT_BOUND) == pow(5, EXPONENT_BOUND, p)
+
+
+def test_zero_to_a_negative_power_is_refused_over_exact_fields():
+    for k, zero in ((Rationals(), Fraction(0)), (IntegersModP(7), 0), (IntegersModP(7), 14)):
+        with pytest.raises(ValueError):
+            k.power(zero, -3)
+        assert k.power(zero, 0) == k.one
+
+
+def test_complex_powers_stay_the_left_to_right_chain():
+    # |x| = 1, so 5000 factors neither overflow nor vanish; the value is the chain's,
+    # bit for bit, and no recursion is involved.
+    k = ComplexApprox()
+    x = complex(math.cos(0.7), math.sin(0.7))
+    line = LaurentRing(1, Integers(), ("x",))
+    for e, factor in ((5000, x), (-5000, 1 / x)):
+        chain = complex(1)
+        for _ in range(abs(e)):
+            chain = chain * factor
+        assert repr(k.power(x, e)) == repr(chain)
+        value = line.monomial((e,)).specialize({"x": x}, k).coefficient(())
+        assert repr(value) == repr(0j + complex(1) * chain)
+
+
 def test_complex_approx_refuses_unit_questions():
     CA = LaurentRing(1, ComplexApprox(), ("x",))
     with pytest.raises(ValueError):
