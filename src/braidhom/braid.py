@@ -8,27 +8,50 @@ Bigelow, over Z[x^{+-1}, d^{+-1}]), together with word evaluation, the
 dual action forced by pairing invariance, and the integrality check for
 conjugation by the quantum-factorial diagonal.
 
-Matrix convention.  For m = 2 the entries are produced from the classical
-two-parameter table, which acts on an auxiliary basis v_{j,k} indexed by
-pairs 1 <= j < k <= n of marked circles (one segment running into each),
-by the corner-sum change of basis
+The local tables.  The half-twist sigma_i moves only points on arc i, as the
+Burau rule does one point at a time.  So the row of a composition e with no
+point on arc i is an identity row, and every other row is read off a table
+keyed by e's parts (e_{i-1}, e_i, e_{i+1}) on arcs i-1, i, i+1, where arcs 0
+and n do not exist and hold 0.  Each entry of the row replaces those three
+parts by a target and keeps the rest; an entry whose target puts a point on
+arc 0 or n is absent.  `_SIGMA` and `_SIGMA_INVERSE` below are the two tables,
+with entries written as text.  Their (0,1,0) row is reduced Burau, the whole
+table for m = 1:
+
+    sigma_i:     (1,0,0): 1,     (0,1,0): -x,     (0,0,1): x
+    sigma_i^-1:  (1,0,0): x^-1,  (0,1,0): -x^-1,  (0,0,1): 1
+
+m = 2 adds the rows (1,1,0), (0,2,0) and (0,1,1), so every row has at most six
+entries, at column offsets in {-1, 0, 1}^2.
+
+Term order.  `specialize` sums an entry's terms in dict order, so complex
+specializations of word products depend on the order of the generator and
+inverse entries.  An entry keeps the order its text lists the terms in, which
+is that of the construction below.  For sigma_i it is the order the products
+P^-1 (W P) emit.  For sigma_i^-1 it is descending lex order of the exponents (x
+before d), the order of fraction-free elimination, whose last step is an exact
+division.  The one exception is n = 3 (`_SIGMA_INVERSE_N3`): the entry of
+sigma_2^-1 from (0,2,0) to (1,1,0) is x^-2 d^-1 + x^-2, the order its
+eigenvalue relation sums in.
+
+The derivation.  The tables were read off the classical two-parameter action on
+an auxiliary basis v_{j,k}, indexed by pairs 1 <= j < k <= n of marked circles
+(one segment running into each), carried to the composition basis by the
+corner-sum change of basis
 
     F_{a,a} = v_{a,a+1}
     F_{a,b} = sum over s in {a,a+1}, r in {b,b+1}, s != r of
               (-1)^{(s-a)+(r-b)} v_{min(s,r),max(s,r)}        (a < b),
 
-where F_e is the basis vector of the composition with points on arcs a
-and b.  The classical variables are read as q = x and t = -d: with that
-sign the diagonal D_e = prod [e_i]_d! conjugates every generator into an
-integral matrix, while for t = +d no change of basis achieves this (the
-reduction mod 1+d has no invariant line already at n = 3).  The m = 1
-blocks come from the same calculus one point at a time.  The resulting
-entries are frozen in tests/golden/generator_matrices.json.
-
-Closed-form inverses.  The change of basis P has entries 0 and +-1, and so
-has its inverse, which sums corners: the row of F_{a,b} has, in the column
-of v_{j,k}, the entry +1 (a = b) or -1 (a < b) when j <= a and b < k, and 0
-otherwise.  A generator sigma satisfies a relation with unit constant term:
+where F_e is the basis vector of the composition with points on arcs a and b.
+With P that change of basis and W the pair action, sigma_i = P^-1 (W P), and
+P^-1 sums corners: the row of F_{a,b} has, in the column of v_{j,k}, the entry
++1 (a = b) or -1 (a < b) when j <= a and b < k, and 0 otherwise.  The classical
+variables are read as q = x and t = -d: with that sign the diagonal
+D_e = prod [e_i]_d! conjugates every generator into an integral matrix, while
+for t = +d no change of basis achieves this (the reduction mod 1+d has no
+invariant line already at n = 3).  The inverses follow from the eigenvalue
+relations, whose constant terms are units:
 
     m = 1:  (sigma - 1)(sigma + x) = 0,
             so sigma^-1 = (sigma + x - 1) / x;
@@ -38,28 +61,20 @@ otherwise.  A generator sigma satisfies a relation with unit constant term:
 with e_1 = 1 - x + d x^2, e_2 = -x + d x^2 - d x^3 and e_3 = -d x^3 the
 elementary symmetric functions of the eigenvalues.  The cubic holds because
 the LKB action factors through the Birman-Murakami-Wenzl algebra (Zinno,
-Math. Ann. 321, 2001); both relations are checked in the tests.  Neither
-inverse needs elimination: linalg.invert remains only as the tests' oracle.
+Math. Ann. 321, 2001).  The tests keep this construction as the oracle: the
+tables must give its entries, with their term order, for every generator and
+inverse at n <= 12, and both relations are checked.  linalg.invert, the
+fraction-free elimination, stays a second oracle for the inverses.  The
+generators at n <= 4 are frozen in tests/golden/generator_matrices.json.
 
-Term order.  `specialize` sums an entry's terms in dict order, so complex
-specializations of word products depend on the order of the inverse entries.
-They keep the order the fraction-free elimination gives: descending keys,
-because its last step is an exact division, which emits the quotient from
-the leading term down.  At n = 3 the last row's final divisor is the corner
-entry of sigma, which is 1 for sigma_2, so nothing is divided and the order
-is the one the relation sums in; n = 3 keeps that order.  The tests compare
-entries and their term order against linalg.invert for n <= 9 (m = 2) and
-n <= 10 (m = 1).
-
-Column plans.  In the pair basis a generator permutes the pairs away from
-{i, i+1}, so most of its columns hold a single 1; at n = 6 an LKB generator
-has 28 nonzeros out of 225.  Each letter is compiled once into a cached column
-plan (ring.column_plan), in which such a column is a row index to copy, and
-evaluate_word applies the plans to the rows of the running product, kept as
-term maps.  linalg.mat_mul runs the same kernel, so a word's entries keep the
-term order of a fold of mat_mul (the rule is in ring.apply_column_plans) and
-specializations do not change.  P^-1 W P, sigma^2 and both sides of the braid
-relations go through it too.
+Column plans.  Most columns of a generator hold a single 1; at n = 6 an LKB
+generator has at most 28 nonzeros out of 225.  Each letter is compiled once
+into a cached column plan (ring.column_plan), in which such a column is a row
+index to copy, and evaluate_word applies the plans to the rows of the running
+product, kept as term maps.  linalg.mat_mul runs the same kernel, so a word's
+entries keep the term order of a fold of mat_mul (the rule is in
+ring.apply_column_plans) and specializations do not change.  Both sides of the
+braid relations go through it too.
 """
 
 from __future__ import annotations
@@ -67,9 +82,8 @@ from __future__ import annotations
 import functools
 
 from . import linalg
-from .compositions import compositions
-from .ring import (GroupRingElement, apply_column_plans, column_plan, exact_divide,
-                   sum_of_products)
+from .compositions import compositions, count
+from .ring import GroupRingElement, apply_column_plans, column_plan, exact_divide
 from .surfaces import SIDES, SurfaceTriad, standard_local_system
 from .values import value_class
 
@@ -152,147 +166,65 @@ def _system(m: int):
     return standard_local_system(m)
 
 
-def _freeze(rows) -> tuple[tuple[GroupRingElement, ...], ...]:
-    return tuple(tuple(row) for row in rows)
-
-
-# -- m = 1: reduced Burau ----------------------------------------------------
+# -- the local tables ----------------------------------------------------------
 #
-# One point on the consecutive arcs A_1..A_{n-1}; the i-th half-twist acts by
-#   A_{i-1} -> A_{i-1} + A_i,   A_i -> -x A_i,   A_{i+1} -> x A_i + A_{i+1}.
+# A row is keyed by its composition's parts on arcs (i-1, i, i+1), where arcs 0
+# and n do not exist and hold 0; each entry moves those parts to a target and
+# keeps the rest, in the dict order its text lists the terms (module docstring).
 
-
-def _burau_rows(n: int, i: int):
-    ring = _system(1).ring
-    x = ring.var("x")
-    size = n - 1
-    rows = [[ring.one if a == b else ring.zero for b in range(size)] for a in range(size)]
-    c = i - 1
-    rows[c][c] = -x
-    if c - 1 >= 0:
-        rows[c][c - 1] = ring.one
-    if c + 1 < size:
-        rows[c][c + 1] = x
-    return rows
-
-
-# -- m = 2: corner-sum basis over the pair table -----------------------------
-
-
-def _pairs(n: int) -> list[tuple[int, int]]:
-    return [(j, k) for j in range(1, n + 1) for k in range(j + 1, n + 1)]
-
-
-def _pair_images(n: int, i: int, ring):
-    # Classical two-parameter table on the pair basis, with q = x, t = -d.
-    q = ring.var("x")
-    t = -ring.var("d")
-    one = ring.one
-    images = {}
-    for (j, k) in _pairs(n):
-        img = {}
-        if i == j - 1:
-            img[(i, k)] = q
-            img[(i, j)] = q * q - q
-            img[(j, k)] = one - q
-        elif i == j and j != k - 1:
-            img[(j + 1, k)] = one
-        elif i == k - 1 and i != j:
-            img[(j, i)] = q
-            img[(j, k)] = one - q
-            img[(i, k)] = -(q * q - q) * t
-        elif i == k:
-            img[(j, k + 1)] = one
-        elif i == j == k - 1:
-            img[(j, k)] = -t * q * q
-        else:
-            img[(j, k)] = one
-        images[(j, k)] = img
-    return images
-
-
-def _arcs_of(e: tuple[int, ...]) -> tuple[int, int]:
-    arcs = [idx + 1 for idx, part in enumerate(e) for _ in range(part)]
-    return arcs[0], arcs[1]
-
-
-def _corner_signs(a: int, b: int) -> dict[tuple[int, int], int]:
-    # Pair coordinates of F_{a,b}, all +-1 (the four corner pairs are distinct).
-    if a == b:
-        return {(a, a + 1): 1}
-    return {
-        (min(s, r), max(s, r)): (-1) ** ((s - a) + (r - b))
-        for s in (a, a + 1) for r in (b, b + 1) if s != r
-    }
+_SIGMA = {
+    (0, 1, 0): {(1, 0, 0): "1", (0, 1, 0): "-x", (0, 0, 1): "x"},
+    (1, 1, 0): {(2, 0, 0): "-1", (1, 1, 0): "-x", (1, 0, 1): "x"},
+    (0, 2, 0): {(2, 0, 0): "1", (1, 1, 0): "x + x*d", (1, 0, 1): "-x - x*d",
+                (0, 2, 0): "x^2*d", (0, 1, 1): "x^2*d + x^2", (0, 0, 2): "x^2"},
+    (0, 1, 1): {(1, 0, 1): "1", (0, 1, 1): "-x", (0, 0, 2): "-x"},
+}
+_SIGMA_INVERSE = {
+    (0, 1, 0): {(1, 0, 0): "x^-1", (0, 1, 0): "-x^-1", (0, 0, 1): "1"},
+    (1, 1, 0): {(2, 0, 0): "-x^-1", (1, 1, 0): "-x^-1", (1, 0, 1): "1"},
+    (0, 2, 0): {(2, 0, 0): "x^-2", (1, 1, 0): "x^-2 + x^-2*d^-1", (1, 0, 1): "-x^-1 - x^-1*d^-1",
+                (0, 2, 0): "x^-2*d^-1", (0, 1, 1): "x^-1 + x^-1*d^-1", (0, 0, 2): "1"},
+    (0, 1, 1): {(1, 0, 1): "x^-1", (0, 1, 1): "-x^-1", (0, 0, 2): "-1"},
+}
+_SIGMA_INVERSE_N3 = {
+    **_SIGMA_INVERSE,
+    (0, 2, 0): {**_SIGMA_INVERSE[(0, 2, 0)], (1, 1, 0): "x^-2*d^-1 + x^-2"},
+}
 
 
 @functools.lru_cache(maxsize=None)
-def _corner_data(n: int):
-    # Change of basis P (pair coordinates of each F_e) and its corner-sum
-    # inverse, both written out (module docstring).
-    ring = _system(2).ring
-    unit = {1: ring.one, -1: -ring.one}
-    arcs = [_arcs_of(e) for e in compositions(n - 1, 2)]
-    pairs = _pairs(n)
-    index = {p: a for a, p in enumerate(pairs)}
-    P = [[ring.zero] * len(pairs) for _ in pairs]
-    for col, (a, b) in enumerate(arcs):
-        for pair, sign in _corner_signs(a, b).items():
-            P[index[pair]][col] = unit[sign]
-    Pinv = [
-        [unit[1 if a == b else -1] if j <= a and k > b else ring.zero for (j, k) in pairs]
-        for (a, b) in arcs
-    ]
-    return _freeze(P), _freeze(Pinv)
+def _table_entry(m: int, text: str) -> GroupRingElement:
+    return _system(m).ring.parse(text)
 
 
-def _pair_rows(n: int, i: int):
-    ring = _system(2).ring
-    pairs = _pairs(n)
-    index = {p: a for a, p in enumerate(pairs)}
-    size = len(pairs)
-    rows = [[ring.zero for _ in range(size)] for _ in range(size)]
-    images = _pair_images(n, i, ring)
-    for col, pair in enumerate(pairs):
-        for target, coeff in images[pair].items():
-            rows[index[target]][col] = coeff
-    return rows
+def _local_rows(n: int, i: int, m: int, table) -> tuple[tuple[GroupRingElement, ...], ...]:
+    ring = _system(m).ring
+    zero, one = ring.zero, ring.one
+    basis = compositions(n - 1, m)
+    index = {e: r for r, e in enumerate(basis)}
+    rows = []
+    for r, e in enumerate(basis):
+        row = [zero] * len(basis)
+        if e[i - 1]:
+            padded = (0, *e, 0)
+            for target, text in table[padded[i - 1:i + 2]].items():
+                moved = padded[:i - 1] + target + padded[i + 2:]
+                if moved[0] == moved[-1] == 0:
+                    row[index[moved[1:-1]]] = _table_entry(m, text)
+        else:
+            row[r] = one
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 @functools.lru_cache(maxsize=None)
 def _generator_entries(n: int, i: int, m: int):
-    if m == 1:
-        return _freeze(_burau_rows(n, i))
-    P, Pinv = _corner_data(n)
-    W = _pair_rows(n, i)
-    WP = apply_column_plans(W, [column_plan(P)])
-    return apply_column_plans(Pinv, [column_plan(WP)])
+    return _local_rows(n, i, m, _SIGMA)
 
 
 @functools.lru_cache(maxsize=None)
 def _generator_inverse_entries(n: int, i: int, m: int):
-    # sigma is a root of p(s) = prod (s - r) = a_0 + a_1 s + ... + s^k over its
-    # eigenvalues r, and a_0 is a unit, so
-    # sigma^-1 = -(a_1 + a_2 sigma + ... + sigma^(k-1)) / a_0.
-    ring = _system(m).ring
-    x = ring.var("x")
-    eigenvalues = (ring.one, -x) if m == 1 else (ring.one, -x, ring.var("d") * x * x)
-    poly = [ring.one]
-    for r in eigenvalues:
-        poly = [hi - r * lo for hi, lo in zip([ring.zero] + poly, poly + [ring.zero])]
-    scale = -poly[0].inverse()
-    sigma = _generator_entries(n, i, m)
-    powers = [linalg.identity(ring, len(sigma)), sigma]
-    while len(powers) < len(poly) - 1:
-        powers.append(apply_column_plans(powers[-1], [_letter_plan(n, i, m)]))
-    terms = list(zip([scale * a for a in poly[1:]], powers))
-    rows = [
-        [sum_of_products(ring, [(c, power[a][b]) for c, power in terms]) for b in range(len(sigma))]
-        for a in range(len(sigma))
-    ]
-    if n > 3:  # term order of the elimination; see the module docstring
-        rows = [[e.in_descending_order() for e in row] for row in rows]
-    return _freeze(rows)
+    return _local_rows(n, i, m, _SIGMA_INVERSE_N3 if n == 3 else _SIGMA_INVERSE)
 
 
 def _validate(n: int, i: int, m: int):
@@ -333,7 +265,7 @@ def evaluate_word(word: BraidWord, m: int) -> RepMatrix:
         raise ValueError(f"explicit matrices exist only for m in {{1, 2}}, got m={m}")
     ring = _system(m).ring
     n = word.n
-    start = linalg.identity(ring, len(compositions(n - 1, m)))
+    start = linalg.identity(ring, count(n - 1, m))
     plans = [_letter_plan(n, letter, m) for letter in word.letters]
     return RepMatrix(n, m, apply_column_plans(start, plans), _TAGS[m])
 
@@ -349,7 +281,7 @@ def dual_representation(word: BraidWord, m: int, side: str = "in") -> RepMatrix:
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}, got {side!r}")
     base = evaluate_word(word.inverse(), m)
-    entries = _freeze(linalg.transpose(linalg.mat_alpha(base.rows())))
+    entries = linalg.transpose(linalg.mat_alpha(base.entries))
     return RepMatrix(word.n, m, entries, f"{_TAGS[m]}/dual-{side}")
 
 

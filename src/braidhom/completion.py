@@ -34,7 +34,7 @@ from itertools import chain
 from math import gcd, isqrt, lcm
 
 from .compositions import compositions
-from .ring import GroupRingElement, Integers, IntegersModP, LaurentRing
+from .ring import EXPONENT_BOUND, GroupRingElement, Integers, IntegersModP, LaurentRing
 from .surfaces import SIDES, SurfaceTriad, dimension
 from .values import value_class
 
@@ -47,8 +47,12 @@ class Ray:
 
     The ray places pattern[i mod len(pattern)] at base + i*step, for i >= 0
     when the direction is "fwd" and for all integers i when it is "bi".
-    The step must be a nonzero lattice vector; the pattern coefficients live
-    in the coefficient ring of the ambient element.
+    The step must be a nonzero lattice vector with coordinates within
+    +-EXPONENT_BOUND, as every exponent on input is, so that factoring a ray
+    period by trial division stays bounded.  The base is not bounded:
+    `module_action` shifts it by monomials, and valid inputs can take it past
+    the bound.  The pattern coefficients live in the coefficient ring of the
+    ambient element.
     """
 
     base: tuple[int, ...]
@@ -64,6 +68,8 @@ class Ray:
             raise ValueError("base and step have different lattice ranks")
         if not any(self.step):
             raise ValueError("ray step must be nonzero")
+        if any(abs(v) > EXPONENT_BOUND for v in self.step):
+            raise ValueError(f"ray step {self.step} has a coordinate beyond {EXPONENT_BOUND}")
         if not self.pattern:
             raise ValueError("ray pattern must be nonempty")
         if self.direction not in RAY_DIRECTIONS:

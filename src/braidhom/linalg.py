@@ -34,10 +34,9 @@ def as_matrix(rows) -> Matrix:
 
 
 def identity(ring: LaurentRing, size: int) -> Matrix:
-    return tuple(
-        tuple(ring.one if i == j else ring.zero for j in range(size))
-        for i in range(size)
-    )
+    """The identity matrix; its entries share one `one` and one `zero` (see `ring`)."""
+    one, zero = ring.one, ring.zero
+    return tuple(tuple(one if i == j else zero for j in range(size)) for i in range(size))
 
 
 def common_ring(ring: LaurentRing | None, *matrices: Matrix) -> LaurentRing | None:

@@ -14,7 +14,10 @@ while the matrix kernels (`sum_of_products`, and the column plans that every mat
 product goes through) trust their inputs and keep the term order stated in
 `apply_column_plans`.  A product with a one-term factor (most braid generator entries)
 is one shift and scale.  Other modules see exponents as tuples (`coefficient`,
-`support`, `items`).
+`support`, `items`).  No code mutates an element's term map after construction,
+so elements and term maps are shared freely: `plan_term_rows` returns term maps
+of its input rows, and `linalg.identity` and the braid tables reuse one element
+for many entries.
 
 Supported coefficient rings k: the integers, the rationals, the integers mod a
 prime, and tolerance-based complex floats.  The first three are integral
@@ -429,10 +432,6 @@ class GroupRingElement:
     def items(self) -> list[tuple[Exponents, object]]:
         """(exponent tuple, coefficient) pairs in ascending lex order."""
         return [(self.ring._unpack(e), c) for e, c in sorted(self.terms.items())]
-
-    def in_descending_order(self) -> GroupRingElement:
-        """This element with its terms in descending lex order (`specialize` sums in term order)."""
-        return GroupRingElement(self.ring, dict(sorted(self.terms.items(), reverse=True)))
 
     def _check_context(self, other: GroupRingElement):
         if self.ring is not other.ring and self.ring != other.ring:

@@ -1,5 +1,6 @@
 """Tests for the braid-group matrices: relations, duality, integrality."""
 
+import functools
 import json
 import random
 from pathlib import Path
@@ -18,10 +19,11 @@ from braidhom.braid import (
     evaluate_word,
     generator_matrix,
 )
+from braidhom.compositions import compositions
 from braidhom.linalg import identity, mat_eq, mat_mul, specialize_matrix
 from braidhom.pairing import delta_pairing
-from braidhom.ring import ComplexApprox
-from braidhom.surfaces import dimension
+from braidhom.ring import ComplexApprox, GroupRingElement, sum_of_products
+from braidhom.surfaces import dimension, standard_local_system
 
 GOLDEN = Path(__file__).parent / "golden" / "generator_matrices.json"
 
@@ -97,10 +99,157 @@ def test_closed_form_inverses_match_the_elimination_oracle(m, strands):
 
 def test_corner_sum_inverse_matches_the_elimination_oracle():
     for n in range(3, 10):
-        P, Pinv = braid._corner_data(n)
+        P, Pinv = _corner_data(n)
         oracle = linalg.invert(P, P[0][0].ring)
         assert mat_eq(Pinv, oracle), n
         assert _term_lists(Pinv) == _term_lists(oracle), n
+
+
+# -- the derivation, as a test oracle -------------------------------------------
+#
+# The construction braid.py's tables were read off: reduced Burau one point at a
+# time, LKB as P^-1 (W P) from the classical pair table W and the corner-sum change
+# of basis P, and each inverse from its generator's eigenvalue relation.  The
+# tables must reproduce every entry of it, terms in the same dict order.
+
+
+def _burau_rows(n, i):
+    ring = standard_local_system(1).ring
+    x = ring.var("x")
+    size = n - 1
+    rows = [[ring.one if a == b else ring.zero for b in range(size)] for a in range(size)]
+    c = i - 1
+    rows[c][c] = -x
+    if c - 1 >= 0:
+        rows[c][c - 1] = ring.one
+    if c + 1 < size:
+        rows[c][c + 1] = x
+    return tuple(tuple(row) for row in rows)
+
+
+def _pairs(n):
+    return [(j, k) for j in range(1, n + 1) for k in range(j + 1, n + 1)]
+
+
+def _pair_images(n, i, ring):
+    # Classical two-parameter table on the pair basis, with q = x, t = -d.
+    q = ring.var("x")
+    t = -ring.var("d")
+    one = ring.one
+    images = {}
+    for (j, k) in _pairs(n):
+        img = {}
+        if i == j - 1:
+            img[(i, k)] = q
+            img[(i, j)] = q * q - q
+            img[(j, k)] = one - q
+        elif i == j and j != k - 1:
+            img[(j + 1, k)] = one
+        elif i == k - 1 and i != j:
+            img[(j, i)] = q
+            img[(j, k)] = one - q
+            img[(i, k)] = -(q * q - q) * t
+        elif i == k:
+            img[(j, k + 1)] = one
+        elif i == j == k - 1:
+            img[(j, k)] = -t * q * q
+        else:
+            img[(j, k)] = one
+        images[(j, k)] = img
+    return images
+
+
+def _arcs_of(e):
+    arcs = [idx + 1 for idx, part in enumerate(e) for _ in range(part)]
+    return arcs[0], arcs[1]
+
+
+def _corner_signs(a, b):
+    # Pair coordinates of F_{a,b}, all +-1 (the four corner pairs are distinct).
+    if a == b:
+        return {(a, a + 1): 1}
+    return {
+        (min(s, r), max(s, r)): (-1) ** ((s - a) + (r - b))
+        for s in (a, a + 1) for r in (b, b + 1) if s != r
+    }
+
+
+@functools.lru_cache(maxsize=None)
+def _corner_data(n):
+    # P (pair coordinates of each F_e) and its inverse, which sums corners: the
+    # row of F_{a,b} holds +1 (a = b) or -1 (a < b) in the column of v_{j,k}
+    # when j <= a and b < k.
+    ring = standard_local_system(2).ring
+    unit = {1: ring.one, -1: -ring.one}
+    arcs = [_arcs_of(e) for e in compositions(n - 1, 2)]
+    pairs = _pairs(n)
+    index = {p: a for a, p in enumerate(pairs)}
+    P = [[ring.zero] * len(pairs) for _ in pairs]
+    for col, (a, b) in enumerate(arcs):
+        for pair, sign in _corner_signs(a, b).items():
+            P[index[pair]][col] = unit[sign]
+    Pinv = [
+        [unit[1 if a == b else -1] if j <= a and k > b else ring.zero for (j, k) in pairs]
+        for (a, b) in arcs
+    ]
+    return linalg.as_matrix(P), linalg.as_matrix(Pinv)
+
+
+def _pair_rows(n, i):
+    ring = standard_local_system(2).ring
+    pairs = _pairs(n)
+    index = {p: a for a, p in enumerate(pairs)}
+    rows = [[ring.zero for _ in pairs] for _ in pairs]
+    images = _pair_images(n, i, ring)
+    for col, pair in enumerate(pairs):
+        for target, coeff in images[pair].items():
+            rows[index[target]][col] = coeff
+    return linalg.as_matrix(rows)
+
+
+def _oracle_generator(n, i, m):
+    if m == 1:
+        return _burau_rows(n, i)
+    P, Pinv = _corner_data(n)
+    return mat_mul(Pinv, mat_mul(_pair_rows(n, i), P))
+
+
+def _oracle_inverse(n, i, m):
+    # sigma is a root of p(s) = prod (s - r) = a_0 + a_1 s + ... + s^k over its
+    # eigenvalues r: (s - 1)(s + x) for Burau, (s - 1)(s + x)(s - d x^2) for LKB.
+    # a_0 is a unit, so sigma^-1 = -(a_1 + a_2 sigma + ... + sigma^(k-1)) / a_0.
+    # For n > 3 the terms take the descending order of the fraction-free
+    # elimination (linalg.invert), whose last step is an exact division.
+    ring = standard_local_system(m).ring
+    x = ring.var("x")
+    eigenvalues = (ring.one, -x) if m == 1 else (ring.one, -x, ring.var("d") * x * x)
+    poly = [ring.one]
+    for r in eigenvalues:
+        poly = [hi - r * lo for hi, lo in zip([ring.zero] + poly, poly + [ring.zero])]
+    scale = -poly[0].inverse()
+    sigma = _oracle_generator(n, i, m)
+    powers = [identity(ring, len(sigma)), sigma]
+    while len(powers) < len(poly) - 1:
+        powers.append(mat_mul(powers[-1], sigma))
+    terms = list(zip([scale * a for a in poly[1:]], powers))
+    rows = [
+        [sum_of_products(ring, [(c, power[a][b]) for c, power in terms]) for b in range(len(sigma))]
+        for a in range(len(sigma))
+    ]
+    if n > 3:
+        rows = [[GroupRingElement(ring, dict(sorted(e.terms.items(), reverse=True))) for e in row]
+                for row in rows]
+    return linalg.as_matrix(rows)
+
+
+@pytest.mark.parametrize("m, strands", [(1, range(2, 13)), (2, range(2, 13))])
+def test_local_tables_match_the_corner_sum_oracle(m, strands):
+    for n in strands:
+        for i in range(1, n):
+            sigma = braid._generator_entries(n, i, m)
+            assert _term_lists(sigma) == _term_lists(_oracle_generator(n, i, m)), (n, i)
+            inverse = braid._generator_inverse_entries(n, i, m)
+            assert _term_lists(inverse) == _term_lists(_oracle_inverse(n, i, m)), (n, i)
 
 
 def test_generators_satisfy_the_eigenvalue_relations():

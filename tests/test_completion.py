@@ -27,7 +27,7 @@ from braidhom.completion import (
     to_group_ring,
 )
 from braidhom.compositions import compositions
-from braidhom.ring import Integers, IntegersModP, LaurentRing, Rationals
+from braidhom.ring import EXPONENT_BOUND, Integers, IntegersModP, LaurentRing, Rationals
 
 RING = LaurentRing(2, Integers(), ("y", "z"))
 Y = RING.var("y")
@@ -425,6 +425,30 @@ def test_scan_fallback_refuses_past_its_budget():
                 is_in_group_ring(c)
         else:  # p divides no period: the residue test decides
             assert is_in_group_ring(c) is verdict
+
+
+def test_a_ray_step_beyond_the_exponent_bound_is_refused_at_once():
+    # trial division of a 2^61 - 1 period ran past 20 s; the bound stops it first
+    step = (2**61 - 1, 0)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="beyond"):
+        Ray((0, 0), step, (1,), "bi")
+    data = {"schema": 1, "finite": [],
+            "rays": [{"base": [0, 0], "step": list(step), "pattern": ["1"]},
+                     {"base": list(step), "step": list(step), "pattern": ["-1"]}]}
+    with pytest.raises(ValueError, match="beyond"):
+        completed_from_json(RING, data)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_a_ray_step_at_the_exponent_bound_is_still_decided():
+    step = (EXPONENT_BOUND, 0)
+    for last, member in ((-1, True), (-2, False)):
+        c = CompletedElement(RING, RING.zero, (Ray((0, 0), step, (1,), "bi"),
+                                               Ray(step, (-EXPONENT_BOUND, 0), (last,), "bi")))
+        start = time.perf_counter()
+        assert is_in_group_ring(c) is member
+        assert time.perf_counter() - start < 1.0
 
 
 @settings(max_examples=150, deadline=None)
