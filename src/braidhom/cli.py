@@ -2,11 +2,11 @@
 
 One subcommand per capability: bases, pairings, embeddings, representation
 matrices, genericity checks, homology ranks, helix classes, and the condensed
-self-verification suite of `braidhom.checks`.  Each handler computes its
-result and hands it to `_emit`, the one output path: json (default), latex
-for matrix results, or plain text; identical configuration produces
-byte-identical output.  All diagnostics go to stderr with a nonzero exit
-status, and exit status 0 means none were emitted.
+self-verification suite of `braidhom.checks`.  `SUBCOMMANDS` holds each one's
+help, handler and flags; a call builds only the flags it can parse.  Handlers
+hand their results to `_emit`, the one output path: json (default), latex for
+matrix results, or plain text; identical configuration gives identical bytes.
+Diagnostics go to stderr with a nonzero exit status; status 0 means none.
 """
 
 from __future__ import annotations
@@ -306,81 +306,63 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+SURFACE_FLAGS = (("--surface", {"required": True, "metavar": "g,n,k"}),
+                 ("--m", {"type": int, "required": True}))
+SIDE_FLAGS = (("--side", {"choices": ("in", "out"), "default": "in"}),)
+FORMAT_FLAGS = (("--format", {"choices": FORMATS, "default": "json"}),)
+
+# name -> (help, handler, flags); flags are (flag, add_argument kwargs) in help order.
+SUBCOMMANDS = {
+    "basis": ("list the basis classes of one side", _cmd_basis, SURFACE_FLAGS + SIDE_FLAGS + (
+        ("--flavour", {"choices": ("relative", "locally_finite", "lf_image"),
+                       "default": "relative"}),) + FORMAT_FLAGS),
+    "pairing": ("intersection pairing matrix", _cmd_pairing, SURFACE_FLAGS + SIDE_FLAGS + (
+        ("--geometric", {"action": "store_true"}),) + FORMAT_FLAGS),
+    "embed": ("diagonal of the module embedding", _cmd_embed, SURFACE_FLAGS + (
+        ("--direction", {"choices": ("in", "out"), "default": "in"}),
+        ("--specialize", {"metavar": "u=VALUE"})) + FORMAT_FLAGS),
+    "rep": ("braid representation matrix of a word", _cmd_rep, (
+        ("--n", {"type": int, "required": True}),
+        ("--m", {"type": int, "choices": (1, 2), "required": True}),
+        ("--word", {"default": "", "metavar": "1,2,-1"}),
+        ("--specialize", {"metavar": "x=...,d=..."})) + FORMAT_FLAGS),
+    "generic-check": ("is a specialized system generic", _cmd_generic_check, (
+        ("--theta-x", {"required": True, "metavar": "V"}),
+        ("--theta-d", {"metavar": "W"}),
+        ("--m", {"type": int, "required": True})) + FORMAT_FLAGS),
+    "homology": ("homology ranks of a serialized complex", _cmd_homology, (
+        ("--complex", {"required": True, "metavar": "FILE.json"}),
+        ("--at", {"metavar": "x=...,d=..."})) + FORMAT_FLAGS),
+    "helix": ("helix class of an embedded torus", _cmd_helix, SURFACE_FLAGS + (
+        ("--e", {"required": True, "metavar": "COMPOSITION"}),
+        ("--y", {"required": True, "metavar": "VECTOR"}),
+        ("--z", {"required": True, "metavar": "VECTOR"})) + FORMAT_FLAGS),
+    "verify": ("run the condensed invariant suite", _cmd_verify, ()),
+}
+
+
+def build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """Every subcommand with its help, and flags for the invoked one only: no top-level
+    option takes a value, so that is the first token of `argv` not starting with "-"."""
+    invoked = next((token for token in argv if not token.startswith("-")), None)
     parser = argparse.ArgumentParser(
-        prog="braidhom",
-        description="Exact computations with homological braid representations.",
-    )
+        prog="braidhom", description="Exact computations with homological braid representations.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add_format(p):
-        p.add_argument("--format", choices=FORMATS, default="json")
-
-    def add_surface(p):
-        p.add_argument("--surface", required=True, metavar="g,n,k")
-        p.add_argument("--m", type=int, required=True)
-
-    p = sub.add_parser("basis", help="list the basis classes of one side")
-    add_surface(p)
-    p.add_argument("--side", choices=("in", "out"), default="in")
-    p.add_argument(
-        "--flavour", choices=("relative", "locally_finite", "lf_image"), default="relative"
-    )
-    add_format(p)
-    p.set_defaults(handler=_cmd_basis)
-
-    p = sub.add_parser("pairing", help="intersection pairing matrix")
-    add_surface(p)
-    p.add_argument("--side", choices=("in", "out"), default="in")
-    p.add_argument("--geometric", action="store_true")
-    add_format(p)
-    p.set_defaults(handler=_cmd_pairing)
-
-    p = sub.add_parser("embed", help="diagonal of the module embedding")
-    add_surface(p)
-    p.add_argument("--direction", choices=("in", "out"), default="in")
-    p.add_argument("--specialize", metavar="u=VALUE")
-    add_format(p)
-    p.set_defaults(handler=_cmd_embed)
-
-    p = sub.add_parser("rep", help="braid representation matrix of a word")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, choices=(1, 2), required=True)
-    p.add_argument("--word", default="", metavar="1,2,-1")
-    p.add_argument("--specialize", metavar="x=...,d=...")
-    add_format(p)
-    p.set_defaults(handler=_cmd_rep)
-
-    p = sub.add_parser("generic-check", help="is a specialized system generic")
-    p.add_argument("--theta-x", required=True, metavar="V")
-    p.add_argument("--theta-d", metavar="W")
-    p.add_argument("--m", type=int, required=True)
-    add_format(p)
-    p.set_defaults(handler=_cmd_generic_check)
-
-    p = sub.add_parser("homology", help="homology ranks of a serialized complex")
-    p.add_argument("--complex", required=True, metavar="FILE.json")
-    p.add_argument("--at", metavar="x=...,d=...")
-    add_format(p)
-    p.set_defaults(handler=_cmd_homology)
-
-    p = sub.add_parser("helix", help="helix class of an embedded torus")
-    add_surface(p)
-    p.add_argument("--e", required=True, metavar="COMPOSITION")
-    p.add_argument("--y", required=True, metavar="VECTOR")
-    p.add_argument("--z", required=True, metavar="VECTOR")
-    add_format(p)
-    p.set_defaults(handler=_cmd_helix)
-
-    p = sub.add_parser("verify", help="run the condensed invariant suite")
-    p.set_defaults(handler=_cmd_verify)
-
+    for name, (help_text, handler, flags) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
+        for flag, kwargs in flags if name == invoked else ():
+            p.add_argument(flag, **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(_attach_dashed_values(sys.argv[1:] if argv is None else argv))
+    argv = _attach_dashed_values(sys.argv[1:] if argv is None else argv)
+    args = build_parser(argv).parse_args(argv)
     try:
+        # Before Python 3.13 argparse reads the value of `--flag=--` as an empty list.
+        if empty := [name for name, value in vars(args).items() if value == []]:
+            raise ValueError(f"--{empty[0].replace('_', '-')} cannot take the value '--'")
         return args.handler(args)
     except (ValueError, OSError, ArithmeticError) as error:
         print(f"error: {error}", file=sys.stderr)

@@ -93,7 +93,7 @@ def certify_injective(embedding: EmbeddingMatrix) -> InjectivityCertificate:
     question has no tolerance-stable answer.
     """
     ring = embedding.system.ring
-    if not ring.coefficients.is_domain:
+    if not ring.coefficients.is_exact:
         raise ValueError(
             "injectivity certification requires integral-domain coefficients, "
             f"not {ring.coefficients.name}"

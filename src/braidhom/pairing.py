@@ -151,11 +151,6 @@ def geometric_pairing(
         raise ValueError("left argument must be an lf-image class (U~ or G~)")
     if right.flavour != "relative":
         raise ValueError("right argument must be a relative class (U or G)")
-    if len(left.composition) != len(right.composition):
-        raise ValueError(
-            "composition lengths differ: "
-            f"{len(left.composition)} vs {len(right.composition)}"
-        )
     total = system.ring.zero
     for point in intersection_points(left.composition, right.composition, system.u):
         contribution = point.monodromy if point.sign == 1 else -point.monodromy

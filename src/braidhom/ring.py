@@ -20,11 +20,12 @@ of its input rows, and `linalg.identity` and the braid tables reuse one element
 for many entries.
 
 Supported coefficient rings k: the integers, the rationals, the integers mod a
-prime, and tolerance-based complex floats.  The first three are integral
-domains, which makes R an integral domain as well; this is what the unit and
-zero-divisor tests rely on.  Complex coefficients are honest about rounding:
-equality means "difference within tolerance", and the ill-posed predicates
-(is_unit, is_non_zero_divisor, exact division) refuse to answer.
+prime, and tolerance-based complex floats.  One flag, `is_exact`, tells them
+apart: the three exact rings are integral domains, which makes R an integral
+domain as well; this is what the unit and zero-divisor tests rely on.  Complex
+coefficients are honest about rounding: equality means "difference within
+tolerance", and the ill-posed predicates (is_unit, is_non_zero_divisor, exact
+division) refuse to answer.
 
 The canonical anti-automorphism alpha sends a group element to its inverse,
 i.e. negates every exponent vector; since R is commutative it is a ring
@@ -68,9 +69,7 @@ class CoefficientRing:
     """
 
     name: str = "?"
-    is_domain: bool = False
     is_exact: bool = True
-    is_field: bool = False
 
     @cached_property
     def zero(self):
@@ -117,7 +116,6 @@ class CoefficientRing:
 @value_class
 class Integers(CoefficientRing):
     name = "integers"
-    is_domain = True
 
     def coerce(self, value):
         if isinstance(value, bool) or not isinstance(value, int):
@@ -142,8 +140,6 @@ class Integers(CoefficientRing):
 @value_class
 class Rationals(CoefficientRing):
     name = "rationals"
-    is_domain = True
-    is_field = True
 
     def coerce(self, value):
         if type(value) is Fraction:  # immutable, so returned as it is
@@ -206,8 +202,6 @@ class IntegersModP(CoefficientRing):
 
     p: int
     name = "integers-mod-p"
-    is_domain = True
-    is_field = True
 
     def __post_init__(self):
         if not _is_prime(self.p):
@@ -255,7 +249,6 @@ class ComplexApprox(CoefficientRing):
 
     tolerance: float = 1e-9
     name = "complex-approx"
-    is_domain = False
     is_exact = False
 
     def __post_init__(self):
@@ -399,12 +392,6 @@ class LaurentRing:
         return _parse_element(self, text)
 
 
-@lru_cache(maxsize=16)
-def _scalar_ring(k: CoefficientRing) -> LaurentRing:
-    """The rank-0 ring over k, where `specialize` puts its values."""
-    return LaurentRing(0, k)
-
-
 class GroupRingElement:
     """A finitely supported function Z^d -> k, i.e. a sparse Laurent polynomial.
 
@@ -537,7 +524,7 @@ class GroupRingElement:
         monomials with unit coefficient.  Refused over complex-approx.
         """
         k = self.ring.coefficients
-        if not k.is_domain:
+        if not k.is_exact:
             raise ValueError(
                 f"is_unit is not supported over {k.name} coefficients"
             )
@@ -553,7 +540,7 @@ class GroupRingElement:
         just means "nonzero".  Refused over complex-approx.
         """
         k = self.ring.coefficients
-        if not k.is_domain:
+        if not k.is_exact:
             raise ValueError(
                 f"is_non_zero_divisor is not supported over {k.name} coefficients"
             )
@@ -574,7 +561,7 @@ class GroupRingElement:
         must be invertible in `target` whenever negative exponents occur.
         """
         ((total,),) = specialize_rows([(self,)], assignments, target)
-        return GroupRingElement(_scalar_ring(target), {} if target.is_zero(total) else {0: total})
+        return GroupRingElement(LaurentRing(0, target), {} if target.is_zero(total) else {0: total})
 
     # -- printing and parsing -------------------------------------------------
 
@@ -666,7 +653,7 @@ def _product(k: CoefficientRing, f: dict, g: dict) -> dict:
     Over an integral domain a one-term factor only shifts and scales the other.
     """
     mul = k.mul
-    if k.is_domain and min(len(f), len(g)) == 1:
+    if k.is_exact and min(len(f), len(g)) == 1:
         if len(f) != 1:
             f, g = g, f
         ((e1, c1),) = f.items()
@@ -882,7 +869,7 @@ def exact_divide(f: GroupRingElement, g: GroupRingElement) -> GroupRingElement |
     if f.ring is not g.ring and f.ring != g.ring:
         raise ValueError("ring context mismatch")
     k = f.ring.coefficients
-    if not k.is_domain:
+    if not k.is_exact:
         raise ValueError(f"exact division is not supported over {k.name} coefficients")
     if g.is_zero():
         raise ZeroDivisionError("division by the zero element")

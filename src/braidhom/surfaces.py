@@ -136,7 +136,7 @@ class LocalSystem:
     def __post_init__(self):
         if self.u.ring != self.ring:
             raise ValueError("homogeneity unit must live in the system's ring")
-        if self.ring.coefficients.is_domain and not self.u.is_unit():
+        if self.ring.coefficients.is_exact and not self.u.is_unit():
             raise ValueError(f"homogeneity unit must be a unit, got {self.u}")
 
 

@@ -391,6 +391,20 @@ def test_unknown_flag_exits_with_usage(capsys):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("rep", "--n", "3", "--m", "1", "--word=--"),
+    ("generic-check", "--m", "2", "--theta-x", "2", "--theta-d=--"),
+    ("embed", "--surface", "0,3,0", "--m", "2", "--specialize=--"),
+])
+def test_a_double_dash_value_is_one_error_line(capsys, argv):
+    # Before Python 3.13 argparse reads `--flag=--` as an empty list; from 3.13 the value
+    # is "--", which the handler refuses.
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_verify_passes(capsys):
     code, out, err = run(capsys, "verify")
     assert code == 0
@@ -501,10 +515,28 @@ FROZEN_CLI_CALLS = [
     (("homology", "--help"), "51ee1b0428aad50ea3c3cfff5422653c"),
     (("helix", "--help"), "5801ccf417958aeac12be515f74c03de"),
     (("verify", "--help"), "1c4187d4d53a045beaa525cadbce13ba"),
+    # argparse's own paths: an invalid or missing subcommand, unknown flags, a missing
+    # required flag, a bad choice, help before the subcommand, and abbreviations.
+    (("bogus",), "218bc87ca1860ae9bbebca53d499e9d3"),
+    ((), "6fbbe3a1454ad9ee80468444c184442a"),
+    (("basis", "--no-such-flag"), "4f762a1ce47778937133fe64dff778f3"),
+    (("rep",), "dccebc353ad4262d359439ffa4175b1e"),
+    (("rep", "--n", "3", "--m", "3"), "a1a53f67a4e079f5085d25c3bdb49b05"),
+    (("-h", "rep"), "ddf71d661a07c47629595d1b367a61ba"),
+    (("pair", "--surface", "0,3,0", "--m", "2"), "f6c748e9b2af97f319a91d72e6c417de"),
+    (("rep", "--n", "3", "--m", "1", "--wor", "1"), "79649aa7b2a442424b4d2b1402585445"),
+    (("verify", "--x"), "c06af7926ae250a959eaf4d84d73636a"),
 ]
 
 # From Python 3.13 argparse keeps the subcommand choices and "..." on one usage line.
-FROZEN_CLI_CALLS_313 = {("--help",): "18cc0fb6ac39989cf7cbcca37d33348e"}
+FROZEN_CLI_CALLS_313 = {
+    ("--help",): "18cc0fb6ac39989cf7cbcca37d33348e",
+    ("bogus",): "414880bf932397a017a63175b296d804",
+    (): "6e4a6410f8879bbf3e2a50ffa29e379b",
+    ("-h", "rep"): "06b75e86e167bf677f3c6bcb75a15d28",
+    ("pair", "--surface", "0,3,0", "--m", "2"): "76a6473fd2906055f1a9e7f139e2fc4a",
+    ("verify", "--x"): "8474621078ca883cb1237ccf603f1e13",
+}
 
 
 def cli_call_digest(capsys, argv, circle_path):

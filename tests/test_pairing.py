@@ -16,6 +16,7 @@ from braidhom.pairing import (
 )
 from braidhom.ring import Integers, LaurentRing, quantum_factorial
 from braidhom.surfaces import (
+    BasisClass,
     SurfaceTriad,
     basis,
     dimension,
@@ -117,6 +118,15 @@ def test_geometric_pairing_rejects_wrong_flavours():
         geometric_pairing(triad, "in", relative, relative, system)
     with pytest.raises(ValueError):
         geometric_pairing(triad, "in", lf_image, lf_image, system)
+
+
+def test_geometric_pairing_rejects_compositions_of_different_lengths():
+    triad = SurfaceTriad(0, 3, 0, 2)
+    system = standard_local_system(triad.points)
+    lf_image = BasisClass("in", "lf_image", (1, 1))
+    relative = BasisClass("in", "relative", (1, 1, 0))
+    with pytest.raises(ValueError, match="^composition lengths differ: 2 vs 3$"):
+        geometric_pairing(triad, "in", lf_image, relative, system)
 
 
 def test_local_intersection_sum_is_the_quantum_factorial():
