@@ -163,6 +163,9 @@ class RepMatrix:
 
 @functools.lru_cache(maxsize=None)
 def _system(m: int):
+    """The standard local system of m points; the one refusal of m outside {1, 2}."""
+    if m not in (1, 2):
+        raise ValueError(f"explicit matrices exist only for m in {{1, 2}}, got m={m}")
     return standard_local_system(m)
 
 
@@ -228,8 +231,7 @@ def _generator_inverse_entries(n: int, i: int, m: int):
 
 
 def _validate(n: int, i: int, m: int):
-    if m not in (1, 2):
-        raise ValueError(f"explicit matrices exist only for m in {{1, 2}}, got m={m}")
+    _system(m)
     if n < 2:
         raise ValueError(f"braid group needs n >= 2, got {n}")
     if not 1 <= i <= n - 1:
@@ -261,8 +263,6 @@ def evaluate_word(word: BraidWord, m: int) -> RepMatrix:
     generator determinants are units.  Each letter acts on the rows of the
     running product through its cached column plan (module docstring).
     """
-    if m not in (1, 2):
-        raise ValueError(f"explicit matrices exist only for m in {{1, 2}}, got m={m}")
     ring = _system(m).ring
     n = word.n
     start = linalg.identity(ring, count(n - 1, m))
@@ -331,10 +331,8 @@ def diagonal_conjugation_integrality(n: int, m: int = 2) -> ConjugationCertifica
     """
     from .embeddings import embedding_matrix
 
-    if m not in (1, 2):
-        raise ValueError(f"explicit matrices exist only for m in {{1, 2}}, got m={m}")
-    triad = disc_triad(n, m)
     system = _system(m)
+    triad = disc_triad(n, m)
     diagonal = embedding_matrix(triad, "in", system).diagonal
     for value in diagonal:
         if value.is_zero():

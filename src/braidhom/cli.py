@@ -212,8 +212,10 @@ def _cmd_rep(args) -> int:
         field = _field_for(assignments.values())
         values = specialize_matrix(matrix.entries, assignments, field)
         cells = [[_value_str(field, v) for v in row] for row in values]
-    # The word is deliberately not echoed: words equal in the braid group
-    # must produce byte-identical output.
+    # The word is deliberately not echoed: words equal in the braid group give
+    # equal matrices, hence the same bytes unspecialized and at exact points.
+    # At a complex point the bytes may differ in the last digit, since each
+    # entry is summed in its term order, which equal words need not share.
     payload = {"n": args.n, "m": args.m, "convention": matrix.convention, "rows": cells}
     _emit(args.format, payload, cells=cells)
     return 0

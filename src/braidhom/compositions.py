@@ -34,11 +34,15 @@ def compositions(l: int, m: int) -> list[tuple[int, ...]]:
     [(5,)]
     """
     _validate_shape(l, m)
-    if l == 1:
-        return [(m,)]
-    out = []
-    for last in range(m + 1):
-        out.extend(prefix + (last,) for prefix in compositions(l - 1, m - last))
+    # Colex successor: the first nonzero part j sends one point to arc j + 1
+    # and the rest of its points to arc 0; (0, ..., 0, m) is the last.
+    parts = [m] + [0] * (l - 1)
+    out = [tuple(parts)]
+    while parts[-1] != m:
+        j = next(i for i, p in enumerate(parts) if p)
+        parts[j], parts[0] = 0, parts[j] - 1
+        parts[j + 1] += 1
+        out.append(tuple(parts))
     return out
 
 

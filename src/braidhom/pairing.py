@@ -13,14 +13,18 @@ exactly the tuples of per-arc bijections: arc i carries e_i points of one
 class and f_i of the other, arcs meet pairwise once, so configurations in
 the intersection match the points arcwise.  No points exist unless e = f
 arcwise, and for e = f there are prod_i (e_i)! of them; each contributes
-sign +1 and monodromy u^(number of inversions of its bijection).  Summing
-gives prod_i [e_i]_u!, and the closed form via quantum factorials is kept as
-an independent oracle, never substituted for the enumeration.
+sign +1 and monodromy u^(number of inversions of its bijection).  A point's
+inversion count is the sum of its per-arc counts, so the sum over points
+factors as the product over arcs of per-arc sums, and each arc size r has
+its r! bijections enumerated once.  Summing gives prod_i [e_i]_u!, and the
+closed form via quantum factorials is kept as an independent oracle, never
+substituted for the enumeration.
 """
 
 from __future__ import annotations
 
-from itertools import permutations, product
+from collections import Counter
+from itertools import combinations, permutations
 
 from .linalg import Matrix, identity
 from .ring import GroupRingElement, LaurentRing, quantum_factorial_product
@@ -72,65 +76,47 @@ def delta_pairing(triad: SurfaceTriad, side: str, ring: LaurentRing | None = Non
 
 
 def inversions(perm: tuple[int, ...]) -> int:
-    return sum(
-        1
-        for a in range(len(perm))
-        for b in range(a + 1, len(perm))
-        if perm[a] > perm[b]
-    )
+    return sum(1 for a, b in combinations(perm, 2) if a > b)
 
 
 def local_intersection_sum(r: int, u: GroupRingElement) -> GroupRingElement:
     """Sum of u^inv(sigma) over all bijections of an r-point set with itself.
 
     This is the local computation on a single arc carrying r points of each
-    class; it must agree with the quantum factorial [r]_u!.
+    class; it must agree with the quantum factorial [r]_u!.  The r!
+    bijections are enumerated once and counted by inversion number, so each
+    power u^w is computed once and weighted by its count.
     """
     if r < 0:
         raise ValueError("point count must be non-negative")
+    counts = Counter(inversions(perm) for perm in permutations(range(r)))
     total = u.ring.zero
-    for perm in permutations(range(r)):
-        total = total + u ** inversions(perm)
+    for weight, count in counts.items():
+        total = total + count * u ** weight
     return total
 
 
-@value_class
-class IntersectionPoint:
-    """One transverse intersection point in the arc model.
+def _class_pairing(
+    left: tuple[int, ...], right: tuple[int, ...], local_sums: dict, ring: LaurentRing
+) -> GroupRingElement:
+    """The pairing of the classes indexed by e = left and f = right.
 
-    A point is a choice, for every arc, of a bijection between the e_i
-    points of the left class and the e_i points of the right class on that
-    arc.  The orientation conventions here make every sign +1; the field
-    exists so that alternative conventions can be exercised in tests.
-    """
-
-    matchings: tuple[tuple[int, ...], ...]
-    sign: int
-    monodromy: GroupRingElement
-
-
-def intersection_points(
-    left: tuple[int, ...], right: tuple[int, ...], u: GroupRingElement
-):
-    """All intersection points of the classes indexed by e = left, f = right.
-
-    Empty unless the compositions agree arcwise: an arc carrying e_i points
-    of one class and f_i != e_i of the other admits no bijection, hence no
-    configuration lies on both classes.
+    Zero unless the compositions agree arcwise: an arc carrying e_i points of
+    one class and f_i != e_i of the other admits no bijection, hence no
+    configuration lies on both classes.  Otherwise the intersection points
+    are the tuples of per-arc bijections, and their sum is the product over
+    arcs of local_sums[e_i], the per-arc sum for e_i points.
     """
     if len(left) != len(right):
         raise ValueError(
             f"composition lengths differ: {len(left)} vs {len(right)}"
         )
     if left != right:
-        return
-    for matching in product(*(permutations(range(r)) for r in left)):
-        weight = sum(inversions(perm) for perm in matching)
-        yield IntersectionPoint(
-            matchings=matching,
-            sign=1,
-            monodromy=u ** weight,
-        )
+        return ring.zero
+    total = local_sums[left[0]]
+    for r in left[1:]:
+        total = total * local_sums[r]
+    return total
 
 
 def geometric_pairing(
@@ -151,11 +137,9 @@ def geometric_pairing(
         raise ValueError("left argument must be an lf-image class (U~ or G~)")
     if right.flavour != "relative":
         raise ValueError("right argument must be a relative class (U or G)")
-    total = system.ring.zero
-    for point in intersection_points(left.composition, right.composition, system.u):
-        contribution = point.monodromy if point.sign == 1 else -point.monodromy
-        total = total + contribution
-    return total
+    e, f = left.composition, right.composition
+    local_sums = {r: local_intersection_sum(r, system.u) for r in set(e)} if e == f else {}
+    return _class_pairing(e, f, local_sums, system.ring)
 
 
 def geometric_pairing_matrix(
@@ -164,16 +148,21 @@ def geometric_pairing_matrix(
     """The geometric pairing over all pairs of basis classes.
 
     Diagonal entries are products of quantum factorials; off-diagonal
-    entries vanish because the arc systems then share no configurations.
+    entries vanish because the arc systems then share no configurations, so
+    they share one zero, as in `linalg.identity`.  Each per-arc sum is
+    enumerated once for the whole matrix.
     """
     lf_images = basis(triad, side, "lf_image")
     relatives = basis(triad, side, "relative")
+    check_homogeneity(triad, system)
+    local_sums = {r: local_intersection_sum(r, system.u)
+                  for r in {r for right in relatives for r in right.composition}}
+    zero, d = system.ring.zero, len(relatives)
     entries = tuple(
-        tuple(
-            geometric_pairing(triad, side, left, right, system)
-            for right in relatives
-        )
-        for left in lf_images
+        (zero,) * i
+        + (_class_pairing(left.composition, right.composition, local_sums, system.ring),)
+        + (zero,) * (d - 1 - i)
+        for i, (left, right) in enumerate(zip(lf_images, relatives))
     )
     return PairingMatrix(
         triad=triad,

@@ -66,6 +66,16 @@ def test_generator_validation():
         generator_matrix(3, 1, 3)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: generator_matrix(1, 0, 3),
+    lambda: evaluate_word(BraidWord(3, (1,)), 0),
+    lambda: diagonal_conjugation_integrality(1, 3),
+], ids=["generator_matrix", "evaluate_word", "diagonal_conjugation_integrality"])
+def test_m_outside_one_and_two_is_refused_before_other_checks(call):
+    with pytest.raises(ValueError, match=r"^explicit matrices exist only for m in \{1, 2\}, got m=\d$"):
+        call()
+
+
 def test_braid_word_validation_and_ops():
     word = BraidWord(3, (1, 2, -1))
     assert len(word) == 3

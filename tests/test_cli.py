@@ -102,6 +102,16 @@ def test_basis_json_lists_classes(capsys):
     assert [c["composition"] for c in data["classes"]] == [[1, 0], [0, 1]]
 
 
+def test_basis_with_more_arcs_than_the_recursion_limit(capsys):
+    # 1,499 arcs: a recursion over the arcs would pass the interpreter's default depth of 1,000.
+    code, out, err = run(capsys, "basis", "--surface", "0,1500,0", "--m", "1")
+    assert (code, err) == (0, "")
+    classes = json.loads(out)["classes"]
+    assert len(classes) == 1499
+    assert classes[0]["composition"] == [1] + [0] * 1498
+    assert classes[-1]["composition"] == [0] * 1498 + [1]
+
+
 def test_basis_latex_is_refused(capsys):
     code, out, err = run(
         capsys, "basis", "--surface", "0,3,0", "--m", "1", "--format", "latex"
@@ -526,6 +536,14 @@ FROZEN_CLI_CALLS = [
     (("pair", "--surface", "0,3,0", "--m", "2"), "f6c748e9b2af97f319a91d72e6c417de"),
     (("rep", "--n", "3", "--m", "1", "--wor", "1"), "79649aa7b2a442424b4d2b1402585445"),
     (("verify", "--x"), "c06af7926ae250a959eaf4d84d73636a"),
+    # Geometric pairings past m = 2: arcs with several points, every monodromy power.
+    (("pairing", "--surface", "0,3,0", "--m", "6", "--geometric"),
+     "98fa6e3b0da2fe63828f519a9ad8c92b"),
+    (("pairing", "--surface", "1,2,1", "--m", "3", "--side", "out", "--geometric", "--format",
+      "latex"),
+     "067757d14439227294a74e3d8778bd78"),
+    (("pairing", "--surface", "0,2,0", "--m", "7", "--geometric", "--format", "text"),
+     "df8cce40dfc674c4131932fed365ccdb"),
 ]
 
 # From Python 3.13 argparse keeps the subcommand choices and "..." on one usage line.

@@ -17,9 +17,10 @@ def test_count_matches_binomial_and_enumeration():
 def test_enumeration_is_colex_ascending():
     # Colex: compare reversed tuples; (2,0) < (1,1) < (0,2).
     assert compositions(2, 2) == [(2, 0), (1, 1), (0, 2)]
-    for l in (2, 3, 4):
-        for m in (1, 2, 3):
+    for l in (2, 3, 4, 7):
+        for m in (1, 2, 3, 5):
             listed = compositions(l, m)
+            assert len(listed) == count(l, m)
             for a, b in zip(listed, listed[1:]):
                 assert tuple(reversed(a)) < tuple(reversed(b))
 

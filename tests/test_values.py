@@ -11,7 +11,7 @@ from braidhom.embeddings import (EmbeddingMatrix, InjectivityCertificate, Reduci
                                  embedding_matrix)
 from braidhom.homology import (FiniteChainComplex, ModulePresentation, ShapiroVerdict,
                                SpecializationPoint)
-from braidhom.pairing import IntersectionPoint, PairingMatrix, delta_pairing
+from braidhom.pairing import PairingMatrix, delta_pairing
 from braidhom.ring import ComplexApprox, Integers, IntegersModP, LaurentRing, Rationals
 from braidhom.surfaces import BasisClass, LocalSystem, SurfaceTriad, standard_local_system
 from braidhom.values import value_class
@@ -44,7 +44,6 @@ FACTORIES = {
     SpecializationPoint: lambda: SpecializationPoint({"x": 2, "d": 3}, Rationals()),
     ShapiroVerdict: lambda: ShapiroVerdict(True, ("k", "0"), ("k", "0")),
     PairingMatrix: lambda: delta_pairing(TRIAD, "in", RING),
-    IntersectionPoint: lambda: IntersectionPoint(((0,), (1, 0)), 1, RING.var("d")),
 }
 
 
