@@ -67,14 +67,28 @@ inverse at n <= 12, and both relations are checked.  linalg.invert, the
 fraction-free elimination, stays a second oracle for the inverses.  The
 generators at n <= 4 are frozen in tests/golden/generator_matrices.json.
 
-Column plans.  Most columns of a generator hold a single 1; at n = 6 an LKB
-generator has at most 28 nonzeros out of 225.  Each letter is compiled once
-into a cached column plan (ring.column_plan), in which such a column is a row
-index to copy, and evaluate_word applies the plans to the rows of the running
-product, kept as term maps.  linalg.mat_mul runs the same kernel, so a word's
-entries keep the term order of a fold of mat_mul (the rule is in
+Column plans.  A generator moves only the points on one arc, so it leaves
+the basis vectors of every composition with no point there fixed; at n = 6 an
+LKB generator has at most 28 nonzeros out of 225.  Each letter is compiled once
+into a cached column plan (ring.column_plan), which leaves out every column
+whose only nonzero is a 1 in its own row: at n = 6, sigma_2 lists 12 of its 15
+columns and sigma_1 lists 9.  evaluate_word applies the plans to the rows of
+the running product, kept as term maps, and each letter writes only the
+columns it lists.  linalg.mat_mul runs the same kernel, so a word's entries
+keep the term order of a fold of mat_mul (the rule is in
 ring.apply_column_plans) and specializations do not change.  Both sides of the
 braid relations go through it too.
+
+Size and caches.  evaluate_word refuses a matrix of more than MAX_ENTRIES =
+10^7 entries before it builds anything: rep --n 3000 --m 1 has 8,994,001
+entries, and n = 80 is the largest LKB size allowed.  The three caches are
+unbounded.  _system has two keys and _table_entry one per table text.
+_letter_plan holds one column plan per (n, letter, m) that a word has used.  A
+plan lists only the columns its letter changes, with O(n^(m-1)) entries in
+all, while the dense generator it was compiled from, with n^(2m) entries
+roughly, is built once and not kept.  So a plan costs far less to keep than it
+cost to build, and the cache grows more slowly than the work that filled it,
+even for a word with many distinct letters at a large n.
 """
 
 from __future__ import annotations
@@ -100,6 +114,7 @@ __all__ = [
 ]
 
 _TAGS = {1: "burau/t=x/arc-basis", 2: "lkb/q=x,t=-d/arc-basis"}
+MAX_ENTRIES = 10**7  # the largest matrix evaluate_word builds (module docstring)
 
 
 def disc_triad(n: int, m: int) -> SurfaceTriad:
@@ -220,12 +235,10 @@ def _local_rows(n: int, i: int, m: int, table) -> tuple[tuple[GroupRingElement, 
     return tuple(rows)
 
 
-@functools.lru_cache(maxsize=None)
 def _generator_entries(n: int, i: int, m: int):
     return _local_rows(n, i, m, _SIGMA)
 
 
-@functools.lru_cache(maxsize=None)
 def _generator_inverse_entries(n: int, i: int, m: int):
     return _local_rows(n, i, m, _SIGMA_INVERSE_N3 if n == 3 else _SIGMA_INVERSE)
 
@@ -261,11 +274,17 @@ def evaluate_word(word: BraidWord, m: int) -> RepMatrix:
 
     Inverse letters use exact inverses; all entries stay in R because the
     generator determinants are units.  Each letter acts on the rows of the
-    running product through its cached column plan (module docstring).
+    running product through its cached column plan (module docstring).  A
+    matrix of more than MAX_ENTRIES = 10^7 entries is refused with ValueError
+    before anything is built.
     """
     ring = _system(m).ring
     n = word.n
-    start = linalg.identity(ring, count(n - 1, m))
+    size = count(n - 1, m)
+    if size * size > MAX_ENTRIES:
+        raise ValueError(f"a {size}x{size} matrix (n={n}, m={m}) exceeds the bound of "
+                         f"{MAX_ENTRIES} entries")
+    start = linalg.identity(ring, size)
     plans = [_letter_plan(n, letter, m) for letter in word.letters]
     return RepMatrix(n, m, apply_column_plans(start, plans), _TAGS[m])
 

@@ -28,7 +28,8 @@ from itertools import combinations, permutations
 
 from .linalg import Matrix, identity
 from .ring import GroupRingElement, LaurentRing, quantum_factorial_product
-from .surfaces import BasisClass, LocalSystem, SurfaceTriad, basis, check_homogeneity, dimension
+from .surfaces import (SIDES, BasisClass, LocalSystem, SurfaceTriad, basis, check_homogeneity,
+                       dimension)
 from .values import value_class
 
 
@@ -101,16 +102,13 @@ def _class_pairing(
 ) -> GroupRingElement:
     """The pairing of the classes indexed by e = left and f = right.
 
-    Zero unless the compositions agree arcwise: an arc carrying e_i points of
-    one class and f_i != e_i of the other admits no bijection, hence no
+    Both are compositions of the triad's points into its arcs.  The pairing
+    is zero unless they agree arcwise: an arc carrying e_i points of one
+    class and f_i != e_i of the other admits no bijection, hence no
     configuration lies on both classes.  Otherwise the intersection points
     are the tuples of per-arc bijections, and their sum is the product over
     arcs of local_sums[e_i], the per-arc sum for e_i points.
     """
-    if len(left) != len(right):
-        raise ValueError(
-            f"composition lengths differ: {len(left)} vs {len(right)}"
-        )
     if left != right:
         return ring.zero
     total = local_sums[left[0]]
@@ -130,14 +128,27 @@ def geometric_pairing(
 
     Computes sum over intersection points of sign * monodromy.  The closed
     form delta_{e,f} * prod_i [e_i]_u! is *not* used here; it is the oracle
-    the tests compare against.
+    the tests compare against.  Refused, in this order: a system that is not
+    homogeneous for the triad, a side outside SIDES, the wrong flavours, a
+    class on another side, compositions of different lengths, and a class
+    that is not in the triad's basis (wrong arc count or point count).
     """
     check_homogeneity(triad, system)
+    if side not in SIDES:
+        raise ValueError(f"side must be one of {SIDES}, got {side!r}")
     if left.flavour != "lf_image":
         raise ValueError("left argument must be an lf-image class (U~ or G~)")
     if right.flavour != "relative":
         raise ValueError("right argument must be a relative class (U or G)")
+    for c in (left, right):
+        if c.side != side:
+            raise ValueError(f"{c} lies on side {c.side!r}, not {side!r}")
     e, f = left.composition, right.composition
+    if len(e) != len(f):
+        raise ValueError(f"composition lengths differ: {len(e)} vs {len(f)}")
+    for c in (left, right):
+        if len(c.composition) != triad.arc_count or sum(c.composition) != triad.points:
+            raise ValueError(f"{c} is not a basis class of the triad {triad}")
     local_sums = {r: local_intersection_sum(r, system.u) for r in set(e)} if e == f else {}
     return _class_pairing(e, f, local_sums, system.ring)
 

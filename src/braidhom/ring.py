@@ -13,7 +13,9 @@ within +-(2^63 - 1); `*` raises ValueError for a product that would leave that r
 while the matrix kernels (`sum_of_products`, and the column plans that every matrix
 product goes through) trust their inputs and keep the term order stated in
 `apply_column_plans`.  A product with a one-term factor (most braid generator entries)
-is one shift and scale.  Other modules see exponents as tuples (`coefficient`,
+is one shift and scale.  Over Z and Q a column plan lists only the columns its matrix
+changes, leaving out each column whose one nonzero is a 1 in its own row, and the
+kernel does their arithmetic with Python's operators inline.  Other modules see exponents as tuples (`coefficient`,
 `support`, `items`).  No code mutates an element's term map after construction,
 so elements and term maps are shared freely: `plan_term_rows` returns term maps
 of its input rows, and `linalg.identity` and the braid tables reuse one element
@@ -698,32 +700,37 @@ def sum_of_products(ring: LaurentRing, pairs) -> GroupRingElement:
     return GroupRingElement(ring, acc)
 
 
+def _native(k: CoefficientRing) -> bool:
+    """Whether k's add, mul and is_zero are Python's operators (Z and Q)."""
+    return (k.add, k.mul, k.is_zero) == (operator.add, operator.mul, operator.not_)
+
+
 def column_plan(matrix) -> tuple:
     """Compile a matrix, with at least one row and column, for `apply_column_plans`.
 
-    The plan is (ring, number of rows, columns); a column lists its nonzero
-    entries in ascending row order as (row, 0, 0, term map), a full product.
-    Over Z and Q, whose add, mul and is_zero are Python's operators, a product
-    with 1 changes nothing and one of nonzero terms is never zero, so a column
-    whose one nonzero entry is 1 is the row index to copy, a one-term entry is
-    (row, shift, coefficient, None), and either keeps the term order stated in
-    `apply_column_plans`.  F_p must reduce mod p, and under complex-approx a
-    product with 1 turns a -0.0 imaginary part into 0.0, so neither is used.
+    The plan is (ring, number of rows, number of columns, columns); a column is
+    (index, entries) and lists its nonzero entries in ascending row order as
+    (row, 0, 1, term map), a full product.  Over Z and Q, whose add, mul and
+    is_zero are Python's operators, a product with 1 changes nothing and one of
+    nonzero terms is never zero, so a column whose one nonzero entry is a 1 in
+    its own row is left out (the kernel keeps that entry of the row), a one-term
+    entry is (row, shift, coefficient, None), and both keep the term order
+    stated in `apply_column_plans`.  F_p must reduce mod p, and under
+    complex-approx a product with 1 turns a -0.0 imaginary part into 0.0, so
+    every column of theirs is listed, as full products.
     """
     ring = matrix[0][0].ring
-    k = ring.coefficients
-    native = (k.add, k.mul, k.is_zero) == (operator.add, operator.mul, operator.not_)
+    native = _native(ring.coefficients)
     columns = []
-    for col in zip(*matrix):
+    for j, col in enumerate(zip(*matrix)):
         entries = [(i, x.terms) for i, x in enumerate(col) if x.terms]
-        if native and len(entries) == 1 and entries[0][1] == {0: 1}:
-            columns.append(entries[0][0])
+        if native and entries == [(j, {0: 1})]:
             continue
-        columns.append(tuple(
-            (i, *next(iter(g.items())), None) if native and len(g) == 1 else (i, 0, 0, g)
+        columns.append((j, tuple(
+            (i, *next(iter(g.items())), None) if native and len(g) == 1 else (i, 0, 1, g)
             for i, g in entries
-        ))
-    return ring, len(matrix), tuple(columns)
+        )))
+    return ring, len(matrix), len(matrix[0]), tuple(columns)
 
 
 def apply_column_plans(start, plans) -> tuple[tuple[GroupRingElement, ...], ...]:
@@ -743,31 +750,67 @@ def apply_column_plans(start, plans) -> tuple[tuple[GroupRingElement, ...], ...]
 def plan_term_rows(ring: LaurentRing, rows: list, plans) -> list:
     """The kernel of `apply_column_plans`: `rows`, term maps of `ring`, times the plans.
 
-    Each plan acts on the rows as row operations: a copy, a shift and scale by
-    a one-term entry, or `_product`.  The rows (at least one) are replaced in
-    place and returned; an entry of the result may be a term map of `rows`.
+    Each output row starts as its input row, cut or padded with empty maps to
+    the plan's width, and only the listed columns are written: each sums its
+    entries' products, a shift and scale by a one-term entry or a full
+    product.  Over Z and Q the products and merges run `_product`'s and
+    `_accumulate`'s loops inline with Python's operators, and a one-term entry
+    with coefficient 1 or -1 merges by adding or subtracting, with no product;
+    over F_p and complex-approx they call `_product` and `_accumulate`.  The
+    rows (at least one) are replaced in place and returned; an entry of the
+    result may be a term map of `rows`.
     """
     k = ring.coefficients
-    for plan_ring, height, columns in plans:
+    native = _native(k)
+    for plan_ring, height, width, columns in plans:
         if plan_ring is not ring and plan_ring != ring:
             raise ValueError(f"ring context mismatch: {ring} vs {plan_ring}")
         if height != len(rows[0]):
             raise ValueError(f"shape mismatch: {len(rows[0])} columns times {height} rows")
+        pad = [{}] * (width - height)
         for r, row in enumerate(rows):
-            out = []
-            for col in columns:
-                if col.__class__ is int:
-                    out.append(row[col])
-                    continue
+            out = row[:width] + pad
+            for j, col in columns:
                 acc = {}
                 for i, shift, c, g in col:
                     f = row[i]
                     if not f:
                         continue
                     if g is not None:
-                        product = _product(k, f, g)
-                        acc = _accumulate(k, acc, product) if acc else product
-                    elif acc:
+                        if not native:
+                            product = _product(k, f, g)
+                            acc = _accumulate(k, acc, product) if acc else product
+                            continue
+                        product, f = f, {}
+                        for e1, c1 in product.items():
+                            for e2, c2 in g.items():
+                                e = e1 + e2
+                                s = f.get(e, 0) + c1 * c2
+                                if s:
+                                    f[e] = s
+                                else:
+                                    del f[e]
+                    if not acc:
+                        acc = (f if g is not None else dict(f) if c == 1 and not shift else
+                               {e + shift: v for e, v in f.items()} if c == 1 else
+                               {e + shift: c * v for e, v in f.items()})
+                    elif c == -1:
+                        for e, v in f.items():
+                            e += shift
+                            s = acc.get(e, 0) - v
+                            if s:
+                                acc[e] = s
+                            else:
+                                del acc[e]
+                    elif c == 1:
+                        for e, v in f.items():
+                            e += shift
+                            s = acc.get(e, 0) + v
+                            if s:
+                                acc[e] = s
+                            else:
+                                del acc[e]
+                    else:
                         for e, v in f.items():
                             e += shift
                             s = acc.get(e, 0) + c * v
@@ -775,11 +818,7 @@ def plan_term_rows(ring: LaurentRing, rows: list, plans) -> list:
                                 acc[e] = s
                             else:
                                 del acc[e]
-                    elif shift or c != 1:
-                        acc = {e + shift: c * v for e, v in f.items()}
-                    else:
-                        acc = dict(f)
-                out.append(acc)
+                out[j] = acc
             rows[r] = out
     return rows
 

@@ -25,6 +25,8 @@ from braidhom.pairing import delta_pairing
 from braidhom.ring import ComplexApprox, GroupRingElement, sum_of_products
 from braidhom.surfaces import dimension, standard_local_system
 
+from test_linalg import reference_mat_mul
+
 GOLDEN = Path(__file__).parent / "golden" / "generator_matrices.json"
 
 
@@ -280,7 +282,11 @@ def test_generators_satisfy_the_eigenvalue_relations():
 
 
 def _reference_word(word, m):
-    """The fold of linalg.mat_mul over the cached generators and inverses: a test oracle."""
+    """The fold of `reference_mat_mul` over the generators and inverses: a test oracle.
+
+    `reference_mat_mul` multiplies with the ring operators only, so the oracle
+    shares no code with the column-plan kernel that evaluate_word runs.
+    """
     n = word.n
     product = identity(generator_matrix(n, 1, m).ring, generator_matrix(n, 1, m).size)
     for letter in word.letters:
@@ -288,7 +294,7 @@ def _reference_word(word, m):
             factor = braid._generator_entries(n, letter, m)
         else:
             factor = braid._generator_inverse_entries(n, -letter, m)
-        product = mat_mul(product, factor)
+        product = reference_mat_mul(product, factor)
     return product
 
 

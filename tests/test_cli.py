@@ -271,6 +271,16 @@ def test_homology_exponent_beyond_the_bound_is_one_error_line(tmp_path, capsys):
     assert "2147483647" in err
 
 
+@pytest.mark.parametrize("n, m", [(200, 2), (81, 2), (3164, 1), (10**9, 2)])
+def test_rep_beyond_the_entry_bound_is_one_error_line(capsys, n, m):
+    # Refused before anything is built, so none of these allocates its matrix.
+    code, out, err = run(capsys, "rep", "--n", str(n), "--m", str(m), "--word=1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: a ") and err.count("\n") == 1
+    assert "exceeds the bound of 10000000 entries" in err
+
+
 def _circle_file(tmp_path):
     path = tmp_path / "circle.json"
     path.write_text(json.dumps(complex_to_json(circle_complex(

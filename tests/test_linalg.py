@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
@@ -150,32 +150,90 @@ def _term_lists(matrix):
     return [[repr(list(x.terms.items())) for x in row] for row in matrix]
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.data(), st.sampled_from([ZZ, QQ, F7, CC]),
-       st.integers(1, 4), st.integers(1, 5), st.integers(1, 4))
-def test_column_plans_match_mat_mul(data, ring, rows, inner, cols):
-    """Plans, one and chained, against the reference product (mat_mul is the plans)."""
-    a = data.draw(matrices(ring, rows, inner))
-    b = data.draw(matrices(ring, inner, cols))
-    # Columns of the identity (copied over ZZ and QQ), and columns of one-term
-    # entries (shifted and scaled over ZZ and QQ).
-    kinds = data.draw(st.lists(st.sampled_from(["any", "one-term", "unit"]),
-                               min_size=cols, max_size=cols))
+@st.composite
+def plan_cases(draw):
+    """(a, b, third) over one ring, for `a` times `b` times `third`.
+
+    Some columns of b are columns of the identity, left out of the plan over
+    ZZ and QQ when the 1 is in the column's own row; others hold one-term
+    entries, shifted and scaled over ZZ and QQ.
+    """
+    ring = draw(st.sampled_from([ZZ, QQ, F7, CC]))
+    rows, inner, cols = draw(st.integers(1, 4)), draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    a = draw(matrices(ring, rows, inner))
+    b = draw(matrices(ring, inner, cols))
+    kinds = draw(st.lists(st.sampled_from(["any", "one-term", "unit"]),
+                          min_size=cols, max_size=cols))
     one_term = st.sampled_from([ring.one, -ring.one, ring.var("x"), -ring.monomial((0, 2)),
                                 ring.monomial((-1, 1), 3)])
 
     def cell(r, c, x):
         if kinds[c] == "unit":
             return ring.one if r == c % inner else ring.zero
-        return data.draw(one_term) if kinds[c] == "one-term" and not x.is_zero() else x
+        return draw(one_term) if kinds[c] == "one-term" and not x.is_zero() else x
 
     b = as_matrix([cell(r, c, x) for c, x in enumerate(row)] for r, row in enumerate(b))
-    third =data.draw(matrices(ring, cols, data.draw(st.integers(1, 4))))
+    third = draw(matrices(ring, cols, draw(st.integers(1, 4))))
+    return a, b, third
+
+
+# (a, b, third) as text, with {c} a coefficient other than 1 and -1.  In
+# b, a "square", "wide" and "tall" plan each have a column whose one nonzero is
+# a 1 in its own row, which plans over ZZ and QQ leave out.  In "cancel", the
+# first two products in each of the first two columns cancel, so a later entry
+# lands on an empty accumulator and becomes it: one-term entries (1, -1, then a
+# shift) in column 0, full products in column 1.  Column 2 scales by {c}.
+PLAN_CASES = {
+    "square": ([["x + {c}*d", "1 - x^-1", "{c}"], ["0", "x*d - 1", "d^2"]],
+               [["1", "x", "0"], ["0", "1 + d", "0"], ["0", "-x^2", "1"]],
+               [["1", "d"], ["x", "0"], ["0", "1"]]),
+    "wide": ([["x - {c}", "d"], ["1", "x^-1 + d"]],
+             [["1", "0", "x", "0"], ["0", "1", "x + d", "-1"]],
+             [["x"], ["1"], ["0"], ["{c}*d"]]),
+    "tall": ([["x", "1 + d", "{c}", "x^-1"]],
+             [["1", "0"], ["0", "1"], ["x", "0"], ["d", "0"]],
+             [["1", "x"], ["0", "1"]]),
+    "cancel": ([["x + 1", "x + 1", "d - {c}"], ["x", "x", "x"]],
+               [["1", "x + d", "1"], ["-1", "-x - d", "{c}*d"], ["x^-1*d", "1 - d", "0"]],
+               [["1"], ["x"], ["d"]]),
+}
+
+
+def plan_case(ring, name):
+    c = "2/3" if ring is QQ else "3"
+    return tuple(as_matrix([ring.parse(text.format(c=c)) for text in row] for row in rows)
+                 for rows in PLAN_CASES[name])
+
+
+@settings(max_examples=150, deadline=None)
+@given(plan_cases())
+@example(plan_case(ZZ, "square"))
+@example(plan_case(ZZ, "wide"))
+@example(plan_case(ZZ, "tall"))
+@example(plan_case(ZZ, "cancel"))
+@example(plan_case(QQ, "square"))
+@example(plan_case(QQ, "wide"))
+@example(plan_case(QQ, "tall"))
+@example(plan_case(QQ, "cancel"))
+def test_column_plans_match_mat_mul(case):
+    """Plans, one and chained, against the reference product (mat_mul is the plans)."""
+    a, b, third = case
     product, expected = apply_column_plans(a, [column_plan(b)]), reference_mat_mul(a, b)
     assert product == expected
     assert _term_lists(product) == _term_lists(expected)
     chained = apply_column_plans(a, [column_plan(b), column_plan(third)])
     assert _term_lists(chained) == _term_lists(reference_mat_mul(expected, third))
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, F7, CC])
+def test_column_plans_list_the_columns_they_write(ring):
+    """Over ZZ and QQ a plan leaves out each column whose one nonzero is a 1 in its own row."""
+    listed = {name: [j for j, _ in column_plan(plan_case(ring, name)[1])[3]] for name in PLAN_CASES}
+    if ring in (ZZ, QQ):
+        assert listed == {"square": [1], "wide": [2, 3], "tall": [0], "cancel": [0, 1, 2]}
+    else:
+        assert listed == {"square": [0, 1, 2], "wide": [0, 1, 2, 3], "tall": [0, 1],
+                          "cancel": [0, 1, 2]}
 
 
 def test_column_plans_refuse_other_rings_and_shapes():

@@ -129,6 +129,31 @@ def test_geometric_pairing_rejects_compositions_of_different_lengths():
         geometric_pairing(triad, "in", lf_image, relative, system)
 
 
+TRIAD_0302 = "the triad (g=0, n=3, k=0, m=2)"
+
+
+@pytest.mark.parametrize("side, left, right, message", [
+    ("sideways", ("in", (1, 1)), ("in", (1, 1)),
+     "side must be one of ('in', 'out'), got 'sideways'"),
+    ("in", ("out", (1, 1)), ("in", (1, 1)), "U~[1,1]@out lies on side 'out', not 'in'"),
+    ("out", ("out", (1, 1)), ("in", (1, 1)), "U[1,1]@in lies on side 'in', not 'out'"),
+    ("in", ("in", (5, 0, 0, 0)), ("in", (5, 0, 0, 0)),
+     f"G~[5,0,0,0]@in is not a basis class of {TRIAD_0302}"),
+    ("in", ("in", (1, 0)), ("in", (1, 0)), f"G~[1,0]@in is not a basis class of {TRIAD_0302}"),
+    ("out", ("out", (2, 0)), ("out", (2, 1)), f"G[2,1]@out is not a basis class of {TRIAD_0302}"),
+], ids=["side", "left-side", "right-side", "arc-count", "point-count", "right-point-count"])
+def test_geometric_pairing_refuses_classes_outside_the_triad_and_side(side, left, right, message):
+    """A side outside SIDES, a class on another side, and a class of the wrong
+    arc count or point count are refused, each naming the class at fault."""
+    triad = SurfaceTriad(0, 3, 0, 2)
+    system = standard_local_system(triad.points)
+    lf_image = BasisClass(left[0], "lf_image", left[1])
+    relative = BasisClass(right[0], "relative", right[1])
+    with pytest.raises(ValueError) as refusal:
+        geometric_pairing(triad, side, lf_image, relative, system)
+    assert str(refusal.value) == message
+
+
 def test_local_intersection_sum_is_the_quantum_factorial():
     ring = LaurentRing(1, Integers(), ("u",))
     u = ring.var("u")
