@@ -10,14 +10,21 @@ of scope.  After specializing the variables at a numeric point the
 boundaries become matrices over a field and homology reduces to rank
 counting by one Gaussian elimination (`linalg.rank`): exact over the
 rationals or finite fields, and with complete pivoting and a tolerance
-relative to the largest entry over complex floats.  Boundaries are sparse,
-so the composite checks, the specialization and the elimination touch only
-nonzero entries, with the same values and verdicts as if they touched every
-one.  Over R a composite is decided on term maps: the first factor's rows go
-through the column plan of the second (`ring.plan_term_rows`, the kernel of
-every matrix product), and the check asks only whether any result is
-non-empty, building no ring element.  After specializing over complex floats
-it is a float check relative to the largest entries.
+relative to the largest entry over complex floats.  Boundaries are sparse
+(about one entry in eight of a benchmark complex is nonzero), so a complex
+finds each row's nonzero entries once, in the pass that checks their ring,
+and keeps them in a private attribute that is not a field: equality, repr
+and `complex_to_json` see the boundaries only.  Everything after that pass
+visits only those entries, with the values and verdicts of a pass over every
+entry.  Over R a composite is decided on term maps: the first factor's
+nonzero rows go through the column plan of the second, built from its
+entries (`ring.plan_columns`, and `ring.plan_term_rows`, the kernel of every
+matrix product), and the check asks only whether any result is non-empty,
+building no ring element.  `homology_ranks_at` specializes the entries with
+one `specialize_matrix` call per boundary on the ragged rows, pairs each
+value with its column and drops the zero values; the float composite check
+(relative to the largest entries) and `linalg.rank` read these
+{column: value} rows.
 """
 
 from __future__ import annotations
@@ -25,15 +32,15 @@ from __future__ import annotations
 from itertools import chain
 from math import gcd
 
-from .linalg import Matrix, as_matrix, common_ring, rank, specialize_matrix
+from .linalg import Matrix, as_matrix, rank, specialize_matrix
 from .ring import (
     CoefficientRing,
     GroupRingElement,
     Integers,
     LaurentRing,
     Rationals,
-    column_plan,
     exact_divide,
+    plan_columns,
     plan_term_rows,
 )
 from .surfaces import LocalSystem, SurfaceTriad, check_homogeneity
@@ -136,21 +143,32 @@ class FiniteChainComplex:
             raise ValueError(
                 f"expected {len(self.ranks) - 1} boundary matrices, got {len(self.boundaries)}"
             )
+        nonzero = []
         for i, b in enumerate(self.boundaries):
             target, source = self._shape(i)
             if len(b) != target or any(len(row) != source for row in b):
                 raise ValueError(f"boundary {i} is not {target}x{source}")
-            common_ring(self.ring, b)
-        for i in range(len(self.boundaries) - 1):
-            if self.direction == "homological":
-                first, second = self.boundaries[i], self.boundaries[i + 1]
-            else:
-                first, second = self.boundaries[i + 1], self.boundaries[i]
-            if not (first and second and second[0]):  # the composite has no entries
+            nonzero.append(_nonzero_entries(self.ring, b))
+        # Each row's nonzero entries as (columns, elements), found once; not a field.
+        object.__setattr__(self, "_nonzero", nonzero)
+        for i in range(len(nonzero) - 1):
+            a, b = (i, i + 1) if self.direction == "homological" else (i + 1, i)
+            rows = [(cols, elements) for cols, elements in nonzero[a] if cols]
+            if not (rows and any(cols for cols, _ in nonzero[b])):  # the composite is zero
                 continue
-            rows = [[x.terms for x in row] for row in first]
-            if any(terms for row in plan_term_rows(self.ring, rows, [column_plan(second)])
-                   for terms in row):
+            height, width = self._shape(b)
+            first = []
+            for cols, elements in rows:
+                terms = [{}] * height
+                for j, x in zip(cols, elements):
+                    terms[j] = x.terms
+                first.append(terms)
+            columns = [[] for _ in range(width)]
+            for r, (cols, elements) in enumerate(nonzero[b]):
+                for j, x in zip(cols, elements):
+                    columns[j].append((r, x.terms))
+            plan = plan_columns(self.ring, height, columns)
+            if any(terms for row in plan_term_rows(self.ring, first, [plan]) for terms in row):
                 raise ValueError(f"boundaries {i} and {i + 1} do not compose to zero")
 
     def _shape(self, i: int) -> tuple[int, int]:
@@ -161,6 +179,22 @@ class FiniteChainComplex:
     @property
     def degrees(self) -> int:
         return len(self.ranks)
+
+
+def _nonzero_entries(ring: LaurentRing, matrix: Matrix) -> list[tuple[list, list]]:
+    """Each row's nonzero entries as (their columns, the elements); ValueError on an entry
+    of another ring."""
+    rows = []
+    for row in matrix:
+        columns, elements = [], []
+        for j, x in enumerate(row):
+            if x.ring is not ring and x.ring != ring:
+                raise ValueError(f"ring context mismatch: {ring} vs {x.ring}")
+            if x.terms:
+                columns.append(j)
+                elements.append(x)
+        rows.append((columns, elements))
+    return rows
 
 
 @value_class
@@ -219,10 +253,12 @@ def homology_ranks_at(
     missing = set(cpx.ring.variables) - set(assignments)
     if missing:
         raise ValueError(f"unassigned variables: {sorted(missing)}")
-    specialized = [
-        specialize_matrix(b, assignments, k) if b and b[0] else []
-        for b in cpx.boundaries
-    ]
+    zero = k.zero  # specialize_matrix gives every zero value as k.zero
+    specialized = []  # each boundary as maps from column to nonzero value, one per row
+    for rows in cpx._nonzero:
+        values = specialize_matrix([elements for _, elements in rows], assignments, k)
+        specialized.append([{j: v for j, v in zip(cols, vs) if v is not zero} if vs else {}
+                            for (cols, _), vs in zip(rows, values)])
     if not k.is_exact:
         # Rounding could make a composite drift from zero; refuse to count
         # ranks of something that is no longer a complex.  Like `rank`, the
@@ -233,17 +269,15 @@ def homology_ranks_at(
                 a, b = b, a
             if not a or not b:
                 continue
-            b_rows = [[(j, v) for j, v in enumerate(row) if v] for row in b]
-            scale = max(map(abs, chain.from_iterable(a))) * max(map(abs, chain.from_iterable(b)))
+            scale = _largest(a) * _largest(b)
             for row in a:
                 products: dict[int, list] = {}  # column -> its nonzero products, in index order
-                for x, b_row in zip(row, b_rows):
-                    if x:
-                        for j, v in b_row:
-                            if j in products:
-                                products[j].append(x * v)
-                            else:
-                                products[j] = [x * v]
+                for inner, x in row.items():
+                    for j, v in b[inner].items():
+                        if j in products:
+                            products[j].append(x * v)
+                        else:
+                            products[j] = [x * v]
                 if any(abs(sum(p)) > k.tolerance * scale for p in products.values()):
                     raise ValueError(
                         f"specialized boundaries {i}, {i + 1} no longer compose to zero")
@@ -254,6 +288,14 @@ def homology_ranks_at(
         above = boundary_ranks[degree] if degree < len(boundary_ranks) else 0
         out.append(cpx.ranks[degree] - below - above)
     return tuple(out)
+
+
+def _largest(rows: list[dict]):
+    """The largest |entry| of a matrix held as maps of its nonzero entries, as `max` reads
+    it over every entry in row order: from 0.0 when the first entry is zero, which a later
+    nan cannot replace."""
+    first = () if 0 in rows[0] else (0.0,)
+    return max(chain(first, (abs(v) for row in rows for v in row.values())))
 
 
 # ---------------------------------------------------------------------------

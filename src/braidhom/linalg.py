@@ -14,9 +14,12 @@ values in variable order, and an entry sums its terms in dict order (from the
 field's zero under complex-approx, from its first term over an exact field),
 so float values depend on term order; an entry with no terms is the field's
 zero.  Over exact coefficients a one-term entry is evaluated once per call.
-Specialized matrices are lists of field values, and `rank` is the one
-Gaussian elimination over them, for every field.  It skips exact zeros, which
-changes no pivot and no rank (see `rank`).
+Rows may be ragged, so a caller can specialize only the nonzero entries of a
+matrix, as chain complexes do.  Specialized matrices are lists of field
+values, and `rank` is the one Gaussian elimination over them, for every
+field; its rows may also be maps from column to nonzero value, which is how
+chain complexes pass them.  It skips exact zeros, which changes no pivot and
+no rank (see `rank`).
 """
 
 from __future__ import annotations
@@ -138,8 +141,12 @@ def specialize_matrix(a: Matrix, assignments: dict, target) -> list[list]:
     return specialize_rows(a, assignments, target)
 
 
-def rank(rows: list[list], k: CoefficientRing) -> int:
+def rank(rows: list, k: CoefficientRing) -> int:
     """Rank of a matrix over the field k by Gaussian elimination; the integers count as Q.
+
+    A row is a sequence of entries, or a map from column to entry that holds
+    only nonzero values of k, which is copied with no coercion; it gives the
+    rank its sequence would.  `homology_ranks_at` passes maps.
 
     Each step takes a pivot, clears its column from the rows still in play
     and drops the pivot's row and column.  Exact fields pivot on the first
@@ -160,10 +167,12 @@ def rank(rows: list[list], k: CoefficientRing) -> int:
         k = Rationals()
     if k.is_exact:
         coerce, zero = k.coerce, k.zero  # specialize_rows gives every zero entry as k.zero
-        m = [{j: c for j, v in enumerate(row) if v is not zero and (c := coerce(v))}
-             for row in rows]
+        m = [dict(row) if isinstance(row, dict) else
+             {j: c for j, v in enumerate(row) if v is not zero and (c := coerce(v))}
+             for row in rows if row]
     else:
-        nonzero = [[(j, v) for j, v in enumerate(row) if v] for row in rows]
+        nonzero = [list(row.items()) if isinstance(row, dict) else
+                   [(j, v) for j, v in enumerate(row) if v] for row in rows if row]
         if not all(isfinite(v.real) and isfinite(v.imag) for row in nonzero for _, v in row):
             raise ValueError("cannot take the rank of a matrix with non-finite entries")
         scale = max((abs(v) for row in nonzero for _, v in row), default=0)

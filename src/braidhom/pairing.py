@@ -16,7 +16,8 @@ arcwise, and for e = f there are prod_i (e_i)! of them; each contributes
 sign +1 and monodromy u^(number of inversions of its bijection).  A point's
 inversion count is the sum of its per-arc counts, so the sum over points
 factors as the product over arcs of per-arc sums, and each arc size r has
-its r! bijections enumerated once.  Summing gives prod_i [e_i]_u!, and the
+its r! bijections enumerated once (r at most MAX_ARC_POINTS = 9; more is a
+ValueError before any enumeration).  Summing gives prod_i [e_i]_u!, and the
 closed form via quantum factorials is kept as an independent oracle, never
 substituted for the enumeration.
 """
@@ -80,16 +81,23 @@ def inversions(perm: tuple[int, ...]) -> int:
     return sum(1 for a, b in combinations(perm, 2) if a > b)
 
 
+MAX_ARC_POINTS = 9  # 9! = 362,880 bijections on the largest arc
+
+
 def local_intersection_sum(r: int, u: GroupRingElement) -> GroupRingElement:
     """Sum of u^inv(sigma) over all bijections of an r-point set with itself.
 
     This is the local computation on a single arc carrying r points of each
     class; it must agree with the quantum factorial [r]_u!.  The r!
     bijections are enumerated once and counted by inversion number, so each
-    power u^w is computed once and weighted by its count.
+    power u^w is computed once and weighted by its count.  r past
+    MAX_ARC_POINTS is a ValueError before anything is enumerated.
     """
     if r < 0:
         raise ValueError("point count must be non-negative")
+    if r > MAX_ARC_POINTS:
+        raise ValueError(f"an arc with {r} points has {r}! bijections to enumerate;"
+                         f" the bound is {MAX_ARC_POINTS} points per arc")
     counts = Counter(inversions(perm) for perm in permutations(range(r)))
     total = u.ring.zero
     for weight, count in counts.items():

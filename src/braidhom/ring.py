@@ -708,6 +708,16 @@ def _native(k: CoefficientRing) -> bool:
 def column_plan(matrix) -> tuple:
     """Compile a matrix, with at least one row and column, for `apply_column_plans`.
 
+    The matrix's columns go to `plan_columns`, each as its nonzero entries.
+    """
+    columns = [[(i, x.terms) for i, x in enumerate(col) if x.terms] for col in zip(*matrix)]
+    return plan_columns(matrix[0][0].ring, len(matrix), columns)
+
+
+def plan_columns(ring: LaurentRing, height: int, columns: list) -> tuple:
+    """The column plan of a `height`-row matrix given as `columns`: for each column,
+    its nonzero entries as (row, term map) in ascending row order.
+
     The plan is (ring, number of rows, number of columns, columns); a column is
     (index, entries) and lists its nonzero entries in ascending row order as
     (row, 0, 1, term map), a full product.  Over Z and Q, whose add, mul and
@@ -719,18 +729,16 @@ def column_plan(matrix) -> tuple:
     complex-approx a product with 1 turns a -0.0 imaginary part into 0.0, so
     every column of theirs is listed, as full products.
     """
-    ring = matrix[0][0].ring
     native = _native(ring.coefficients)
-    columns = []
-    for j, col in enumerate(zip(*matrix)):
-        entries = [(i, x.terms) for i, x in enumerate(col) if x.terms]
+    planned = []
+    for j, entries in enumerate(columns):
         if native and entries == [(j, {0: 1})]:
             continue
-        columns.append((j, tuple(
+        planned.append((j, tuple([
             (i, *next(iter(g.items())), None) if native and len(g) == 1 else (i, 0, 1, g)
             for i, g in entries
-        )))
-    return ring, len(matrix), len(matrix[0]), tuple(columns)
+        ])))
+    return ring, height, len(columns), tuple(planned)
 
 
 def apply_column_plans(start, plans) -> tuple[tuple[GroupRingElement, ...], ...]:
@@ -823,15 +831,41 @@ def plan_term_rows(ring: LaurentRing, rows: list, plans) -> list:
     return rows
 
 
+POWER_BITS_BUDGET = 10**6  # bits of an exact power value^e, estimated before computing it
+POWER_CHAIN_LIMIT = 10**6  # products in a power that `CoefficientRing.power` takes as a chain
+
+
+def _exponent_limit(target: CoefficientRing, value) -> float:
+    """The largest |e| for which `specialize_rows` computes value^e in `target`.
+
+    Over Z and Q, value^e has about |e| * max(bit lengths of the numerator and
+    denominator) bits, which may not pass POWER_BITS_BUDGET (0, 1 and -1,
+    whose powers are themselves, have no limit).  Where `target.power` is the
+    chain of |e| products of `CoefficientRing.power` (complex-approx, Z), |e|
+    may not pass POWER_CHAIN_LIMIT either.  F_p takes powers with `pow` and
+    has no limit.
+    """
+    limit = float("inf")
+    if target.is_exact and not isinstance(target, IntegersModP):
+        n, d = value.numerator, value.denominator
+        if d > 1 or not -1 <= n <= 1:
+            limit = POWER_BITS_BUDGET // max(n.bit_length(), d.bit_length())
+    if type(target).power is CoefficientRing.power:
+        limit = min(limit, POWER_CHAIN_LIMIT)
+    return limit
+
+
 def specialize_rows(rows, assignments: dict, target: CoefficientRing) -> list[list]:
     """The value in `target` of every entry of `rows` (all in one ring) at the assignments.
 
     Once per call: the variables are checked, the values coerced and each power
     value^e computed by `target.power` (by squaring over Q and F_p, left to
-    right under complex-approx).  Each entry keeps one order of float
-    operations: a term is coerce(coefficient) times the powers in variable
-    order, the terms are summed in dict order, and a total target.is_zero calls
-    zero becomes target.zero.  Under complex-approx the sum starts from
+    right under complex-approx); a power whose |e| is past `_exponent_limit`
+    is a ValueError, before any arithmetic.  Rows may have different lengths.
+    Each entry keeps one order of float operations: a term is
+    coerce(coefficient) times the powers in variable order, the terms are
+    summed in dict order, and a total target.is_zero calls zero becomes
+    target.zero.  Under complex-approx the sum starts from
     target.zero, since 0j + t can turn a -0.0 part of t into 0.0; over an exact
     target it starts from the first term, since there 0 + t is t.  An entry
     with no terms is target.zero at once, which is what summing no terms from
@@ -846,6 +880,7 @@ def specialize_rows(rows, assignments: dict, target: CoefficientRing) -> list[li
     if missing:
         raise ValueError(f"unassigned variables: {sorted(missing)}")
     values = [target.coerce(assignments[v]) for v in variables]
+    limits = [_exponent_limit(target, value) for value in values]
     coerce, add, mul, is_zero, zero = (target.coerce, target.add, target.mul, target.is_zero,
                                        target.zero)
     start = None if target.is_exact else zero  # None: the sum starts from its first term
@@ -854,6 +889,11 @@ def specialize_rows(rows, assignments: dict, target: CoefficientRing) -> list[li
 
     def power(i, e):
         if (i, e) not in powers:
+            if abs(e) > limits[i]:
+                raise ValueError(
+                    f"the power {e} of {target.to_str(values[i])} is past the work budget"
+                    f" ({POWER_BITS_BUDGET} bits of an exact result, {POWER_CHAIN_LIMIT}"
+                    f" products in a chain), which admits |e| <= {limits[i]} here")
             powers[i, e] = target.power(values[i], e)
         return powers[i, e]
 

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import sys
+import time
 
 import pytest
 
@@ -269,6 +270,30 @@ def test_homology_exponent_beyond_the_bound_is_one_error_line(tmp_path, capsys):
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert "2147483647" in err
+
+
+@pytest.mark.parametrize("at", ["x=1/3", "x=0.7648+0.6442j"])
+def test_homology_power_past_the_work_budget_is_one_error_line(tmp_path, capsys, at):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"schema": 1, "variables": ["x"], "ranks": [1, 1],
+                                "boundaries": [[["x^2000000000 - 1"]]]}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "homology", "--complex", str(path), "--at", at)
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: the power 2000000000 of ") and err.count("\n") == 1
+    assert "past the work budget" in err
+
+
+def test_pairing_geometric_past_the_arc_bound_is_one_error_line(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "pairing", "--surface", "0,2,0", "--m", "10", "--geometric")
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert out == ""
+    assert err == ("error: an arc with 10 points has 10! bijections to enumerate;"
+                   " the bound is 9 points per arc\n")
 
 
 @pytest.mark.parametrize("n, m", [(200, 2), (81, 2), (3164, 1), (10**9, 2)])

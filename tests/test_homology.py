@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidhom.braid import disc_triad
 from braidhom.homology import (
@@ -19,7 +21,7 @@ from braidhom.homology import (
     shapiro_circle_check,
     shapiro_double_cover_check,
 )
-from braidhom.linalg import invert, mat_mul, specialize_matrix
+from braidhom.linalg import invert, mat_mul, rank, specialize_matrix
 from braidhom.ring import (
     ComplexApprox,
     Integers,
@@ -174,12 +176,12 @@ def test_homology_ranks_are_chain_isomorphism_invariant():
         assert homology_ranks_at(moved, point) == expected
 
 
-def _unitriangular(rng, size):
+def _unitriangular(rng, size, density=0.2):
     """A sparse unit upper triangular integer matrix and its inverse (back substitution)."""
     m = [[int(i == j) for j in range(size)] for i in range(size)]
     for i in range(size):
         for j in range(i + 1, size):
-            if rng.random() < 0.2:
+            if rng.random() < density:
                 m[i][j] = rng.choice((-1, 1))
     inverse = [[0] * size for _ in range(size)]
     for col in range(size):
@@ -264,6 +266,108 @@ def test_the_composite_check_agrees_with_a_dense_sum(seed):
             homology_ranks_at(cpx, point)
 
 
+# Each field's point, and probe entries over Z as {exponent: coefficient} with whether
+# the entry vanishes there: exactly over Q and F_p, within tolerance at 1.5 + 1e-12j.
+SPARSE_POINTS = {
+    "Q": (SpecializationPoint({"x": Fraction(3, 2)}, Rationals()),
+          (({1: 2, 0: -3}, True), ({1: 1}, False))),
+    "F_p": (SpecializationPoint({"x": 5}, IntegersModP(1_000_003)),
+            (({1: 1, 0: -5}, True), ({1: 1, 0: -4}, False))),
+    "C near 3/2": (SpecializationPoint({"x": 1.5 + 1e-12j}, ComplexApprox()),
+                   (({1: 2, 0: -3}, True), ({1: 1}, False))),
+    "C on the circle": (SpecializationPoint({"x": cmath.exp(0.7j)}, ComplexApprox()),
+                        (({1: 1, 0: -1}, False),)),
+}
+# At this point the cubic block's composite rounds to about 1e-4 against entries near
+# 1e12 and 1e8, so a tolerance of 1e-300 refuses it whatever else the complex holds.
+DRIFT_POINT = SpecializationPoint({"x": 12345.6789 + 0.123456789j}, ComplexApprox(1e-300))
+
+
+def _dense_betti(cpx, point):
+    """Betti numbers from the whole boundaries: every entry specialized, the composites
+    summed over every index, ranks of dense rows."""
+    k = point.field
+    maps = [specialize_matrix(b, point.mapping, k) for b in cpx.boundaries]
+    if not k.is_exact:
+        for i in range(len(maps) - 1):
+            a, b = maps[i], maps[i + 1]
+            if cpx.direction == "cohomological":
+                a, b = b, a
+            if a and a[0] and b and b[0] and _dense_composite_drifts(a, b, k.tolerance):
+                raise ValueError(f"specialized boundaries {i}, {i + 1} no longer compose to zero")
+    ranks = [rank(m, k) for m in maps]
+    return tuple(r - (ranks[i - 1] if i else 0) - (ranks[i] if i < len(ranks) else 0)
+                 for i, r in enumerate(cpx.ranks))
+
+
+def _block_sum(blocks, ring):
+    """The block-diagonal matrix of integer-exponent blocks {(i, j): {e: c}} of given shapes."""
+    rows = sum(h for h, _, _ in blocks)
+    cols = sum(w for _, w, _ in blocks)
+    out = [[ring.zero] * cols for _ in range(rows)]
+    top = left = 0
+    for h, w, entries in blocks:
+        for (i, j), terms in entries.items():
+            out[top + i][left + j] = ring.element({(e,): c for e, c in terms.items()})
+        top, left = top + h, left + w
+    return tuple(map(tuple, out))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from(sorted(SPARSE_POINTS)),
+       st.sampled_from(["homological", "cohomological"]), st.integers(0, 2**32))
+def test_sparse_ranks_match_the_construction_and_a_dense_reference(data, field, direction, seed):
+    """C2 -> C1 -> C0 as L E1 U and U^-1 E2 V, twisted (as `_leu_complex`, and as the
+    membership-ranks benchmark builds them), sizes and ranks from 0, plus optional blocks:
+    a probe R -> R in degrees 1 -> 0 whose entry may vanish at the point, and the cubic
+    block whose specialized composite drifts, which must be refused."""
+    rng = random.Random(seed)
+    point, probes = SPARSE_POINTS[field]
+    a0, a2 = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
+    a1 = data.draw(st.integers(max(a0, a2), 7))
+    r1 = data.draw(st.integers(0, min(a0, a1)))
+    r2 = data.draw(st.integers(0, min(a2, a1 - r1)))
+    e1 = [[int(i == j < r1) for j in range(a1)] for i in range(a0)]
+    e2 = [[int(i - r1 == j < r2) for j in range(a2)] for i in range(a1)]
+    density = data.draw(st.sampled_from([0.15, 0.5]))  # the benchmark's, and rows of several
+    lower = [list(col) for col in zip(*_unitriangular(rng, a0, density)[0])]
+    u, u_inverse = _unitriangular(rng, a1, density)
+    d1 = _int_mul(lower, _int_mul(e1, u))
+    d2 = _int_mul(u_inverse, _int_mul(e2, _unitriangular(rng, a2, density)[0]))
+    t = [[rng.randint(-3, 3) for _ in range(size)] for size in (a0, a1, a2)]
+    blocks1 = [(a0, a1, {(i, j): {t[0][i] - t[1][j]: v} for i, row in enumerate(d1)
+                         for j, v in enumerate(row) if v})]
+    blocks2 = [(a1, a2, {(i, j): {t[1][i] - t[2][j]: v} for i, row in enumerate(d2)
+                         for j, v in enumerate(row) if v})]
+    ranks, betti = [a0, a1, a2], [a0 - r1, a1 - r1 - r2, a2 - r2]
+    probe, vanishes = data.draw(st.sampled_from(((None, False),) + probes))
+    if probe is not None:
+        shift = rng.randint(-2, 2)
+        blocks1.append((1, 1, {(0, 0): {e + shift: c for e, c in probe.items()}}))
+        blocks2.append((1, 0, {}))
+        ranks, betti = [ranks[0] + 1, ranks[1] + 1, ranks[2]], [betti[0] + vanishes,
+                                                                 betti[1] + vanishes, betti[2]]
+    drift = data.draw(st.booleans())
+    if drift:
+        point = DRIFT_POINT
+        blocks1.append((1, 2, {(0, 0): {3: 1, 1: 1}, (0, 1): {1: -1}}))
+        blocks2.append((2, 1, {(0, 0): {0: 1}, (1, 0): {2: 1, 0: 1}}))
+        ranks = [ranks[0] + 1, ranks[1] + 2, ranks[2] + 1]
+    ring = LaurentRing(1, Integers(), ("x",))
+    boundaries = [_block_sum(blocks, ring) for blocks in (blocks1, blocks2)]
+    if direction == "cohomological":  # the transposed maps, with the same Betti numbers
+        boundaries = [tuple(zip(*b)) if b else ((),) * sum(w for _, w, _ in blocks)
+                      for b, blocks in zip(boundaries, (blocks1, blocks2))]
+    cpx = FiniteChainComplex(ring, ranks, boundaries, direction)
+    if drift:
+        with pytest.raises(ValueError, match="no longer compose to zero"):
+            _dense_betti(cpx, point)
+        with pytest.raises(ValueError, match="no longer compose to zero"):
+            homology_ranks_at(cpx, point)
+        return
+    assert homology_ranks_at(cpx, point) == _dense_betti(cpx, point) == tuple(betti)
+
+
 def test_complex_validation():
     ring = LaurentRing(1, Integers(), ("x",))
     one = ring.one
@@ -279,6 +383,44 @@ def test_complex_validation():
         FiniteChainComplex(ring, (1, 1), (((other.one,),),), "homological")
     # zero-dimensional middle degree: the composite is empty, not an error
     FiniteChainComplex(ring, (1, 0, 1), (((),), ()), "homological")
+
+
+def test_construction_refuses_in_order_with_its_messages():
+    """Each boundary's shape, then its ring, then the composites: the first fault is named."""
+    ring, other = LaurentRing(1, Integers(), ("x",)), LaurentRing(1, Rationals(), ("x",))
+    o, x = ring.one, ring.var("x")
+    mismatch = f"ring context mismatch: {ring} vs {other}"
+    cases = [
+        ((1, 1), (), "homological", "expected 1 boundary matrices, got 0"),
+        ((1, -1), (((o,),),), "homological", "negative rank"),
+        ((1, 1), (((o,),),), "diagonal", f"direction must be one of {('homological', 'cohomological')}"),
+        ((1, 1, 1), (((o, o),), ((other.one,),)), "homological", "boundary 0 is not 1x1"),
+        ((1, 1, 1), (((other.zero,),), ((o, o),)), "homological", mismatch),
+        ((1, 1, 1), (((o,),), ((o, o),)), "homological", "boundary 1 is not 1x1"),
+        ((1, 1, 1), (((x,),), ((other.zero,),)), "homological", mismatch),
+        ((1, 2, 1), (((o, x),), ((x,), (o,))), "homological",
+         "boundaries 0 and 1 do not compose to zero"),
+        ((1, 2, 1), (((x,), (o,)), ((o, x),)), "cohomological",
+         "boundaries 0 and 1 do not compose to zero"),
+    ]
+    for ranks, boundaries, direction, message in cases:
+        with pytest.raises(ValueError) as refusal:
+            FiniteChainComplex(ring, ranks, boundaries, direction)
+        assert str(refusal.value) == message
+
+
+def test_the_nonzero_entries_are_not_a_field():
+    ring = LaurentRing(1, Integers(), ("x",))
+    x, z = ring.var("x"), ring.zero
+    boundary = ((x, z), (z, z))
+    cpx = FiniteChainComplex(ring, (2, 2), (boundary,))
+    same = FiniteChainComplex(ring, [2, 2], [[list(row) for row in boundary]])
+    assert cpx == same
+    assert repr(cpx) == ("FiniteChainComplex(ring=" + repr(ring) + ", ranks=(2, 2), boundaries="
+                         + repr((boundary,)) + ", direction='homological')")
+    assert complex_to_json(cpx) == complex_to_json(same) == {
+        "schema": 1, "direction": "homological", "coefficients": "integers",
+        "variables": ["x"], "ranks": [2, 2], "boundaries": [[["x", "0"], ["0", "0"]]]}
 
 
 @pytest.mark.parametrize("k", [Integers(), Rationals(), IntegersModP(7)])

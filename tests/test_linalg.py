@@ -21,8 +21,8 @@ from braidhom.linalg import (
     specialize_matrix,
     transpose,
 )
-from braidhom.ring import (ComplexApprox, Integers, IntegersModP, LaurentRing, Rationals,
-                           apply_column_plans, column_plan)
+from braidhom.ring import (POWER_BITS_BUDGET, POWER_CHAIN_LIMIT, ComplexApprox, Integers,
+                           IntegersModP, LaurentRing, Rationals, apply_column_plans, column_plan)
 
 ZZ = LaurentRing(2, Integers(), ("x", "d"))
 X, D = ZZ.var("x"), ZZ.var("d")
@@ -401,6 +401,44 @@ def test_specialize_matrix_refusals():
         specialize_matrix(as_matrix([[X, QQ.var("x")]]), {"x": 2, "d": 3}, Rationals())
 
 
+LINE = LaurentRing(1, Integers(), ("x",))
+
+
+def _power_at(e, value, target):
+    ((result,),) = specialize_matrix(((LINE.monomial((e,)),),), {"x": value}, target)
+    return result
+
+
+def test_specialization_refuses_powers_past_the_work_budget():
+    huge = LINE.element({(2_000_000_000,): 1, (0,): -1})
+    for value, target, limit in ((Fraction(1, 3), Rationals(), POWER_BITS_BUDGET // 2),
+                                 (2, Integers(), POWER_BITS_BUDGET // 2),
+                                 (0.7648 + 0.6442j, ComplexApprox(), POWER_CHAIN_LIMIT),
+                                 (1.0, ComplexApprox(), POWER_CHAIN_LIMIT)):
+        with pytest.raises(ValueError, match=f"past the work budget .* admits \\|e\\| <= {limit} "):
+            specialize_matrix(((huge,),), {"x": value}, target)
+    # F_p takes powers with pow, and 0, 1 and -1 are their own powers: no budget.
+    p = 1_000_003
+    assert specialize_matrix(((huge,),), {"x": 3}, IntegersModP(p)) == [[(pow(3, 2_000_000_000, p) - 1) % p]]
+    for value in (Fraction(1), Fraction(-1), Fraction(0)):
+        assert _power_at(2_000_000_000, value, Rationals()) == value ** 2_000_000_000
+
+
+def test_specialization_at_the_work_budget():
+    # 1/3 and 3 have 2 bits a factor, so |e| may reach half the bit budget and no further.
+    at = POWER_BITS_BUDGET // 2
+    assert _power_at(at, Fraction(1, 3), Rationals()) == Fraction(1, 3**at)
+    assert _power_at(-at, 3, Rationals()) == Fraction(1, 3**at)
+    for e in (at + 1, -at - 1):
+        with pytest.raises(ValueError, match=f"which admits \\|e\\| <= {at} here"):
+            _power_at(e, Fraction(1, 3), Rationals())
+    # A chain of POWER_CHAIN_LIMIT products is at the limit; rounding accumulates along it.
+    z = cmath.exp(1e-3j)
+    assert abs(_power_at(POWER_CHAIN_LIMIT, z, ComplexApprox()) - cmath.exp(1e3j)) < 1e-6
+    with pytest.raises(ValueError, match=f"which admits \\|e\\| <= {POWER_CHAIN_LIMIT} here"):
+        _power_at(POWER_CHAIN_LIMIT + 1, z, ComplexApprox())
+
+
 def test_specialize_matrix_values():
     a = as_matrix([[X + D, ZZ.one], [X * D, ZZ.zero]])
     values = specialize_matrix(a, {"x": 2, "d": 3}, Rationals())
@@ -525,3 +563,32 @@ def test_complex_rank_with_signed_zeros_matches_the_exact_rank(data, rows, cols,
     expected = _sympy_rank(exact, ComplexApprox())
     assert rank(values, ComplexApprox()) == expected
     assert rank([[v * 1e-12 for v in row] for row in values], ComplexApprox()) == expected
+
+
+def _rank_or_refusal(rows, k):
+    try:
+        return rank(rows, k)
+    except ValueError as error:
+        return str(error)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.sampled_from([Rationals(), IntegersModP(7), IntegersModP(1_000_003),
+                                   ComplexApprox()]),
+       st.integers(1, 8), st.integers(1, 8), st.integers(0, 4))
+def test_rank_on_map_rows_equals_rank_on_dense_rows(data, k, rows, cols, inner):
+    """Rows given as maps of their nonzero values of k, as `homology_ranks_at` passes them."""
+    if isinstance(k, Rationals):
+        entry = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+    elif isinstance(k, IntegersModP):  # lifts: entries p and -p are zero mod p
+        entry = st.integers(-3, 3).filter(bool) | st.sampled_from([k.p, -k.p, k.p + 1])
+    else:
+        entry = st.builds(complex, st.integers(-3, 3), st.integers(-3, 3)).filter(bool)
+    values = _low_rank(data, rows, cols, inner, entry)
+    if not k.is_exact and data.draw(st.booleans()):  # a non-finite entry, which both refuse
+        i, j = data.draw(st.integers(0, rows - 1)), data.draw(st.integers(0, cols - 1))
+        values[i][j] = data.draw(st.sampled_from([complex(float("nan"), 0),
+                                                  complex(float("inf"), 1),
+                                                  complex(1, float("nan"))]))
+    maps = [{j: c for j, v in enumerate(row) if (c := k.coerce(v))} for row in values]
+    assert _rank_or_refusal(maps, k) == _rank_or_refusal(values, k)

@@ -161,6 +161,20 @@ def test_local_intersection_sum_is_the_quantum_factorial():
         assert local_intersection_sum(r, u) == quantum_factorial(r, u)
 
 
+def test_local_intersection_sum_refuses_more_than_nine_points_before_enumerating(monkeypatch):
+    import braidhom.pairing
+
+    def refuse(*args):
+        raise AssertionError("enumerated")
+
+    monkeypatch.setattr(braidhom.pairing, "permutations", refuse)
+    u = LaurentRing(1, Integers(), ("u",)).var("u")
+    with pytest.raises(ValueError) as refusal:
+        local_intersection_sum(10, u)
+    assert str(refusal.value) == ("an arc with 10 points has 10! bijections to enumerate;"
+                                  " the bound is 9 points per arc")
+
+
 def test_inversions_agrees_with_brute_force():
     for r in range(6):
         for perm in permutations(range(r)):
