@@ -9,7 +9,8 @@ genericity need nothing finer, and classifying modules over k[Z^2] is out
 of scope.  After specializing the variables at a numeric point the
 boundaries become matrices over a field and homology reduces to rank
 counting by one Gaussian elimination (`linalg.rank`): exact over the
-rationals or finite fields, and with complete pivoting and a tolerance
+rationals, on integer rows each divided by its content, and over finite
+fields, on residues reduced mod p; with complete pivoting and a tolerance
 relative to the largest entry over complex floats.  Boundaries are sparse
 (about one entry in eight of a benchmark complex is nonzero), so a complex
 finds each row's nonzero entries once, in the pass that checks their ring,
@@ -20,11 +21,13 @@ entry.  Over R a composite is decided on term maps: the first factor's
 nonzero rows go through the column plan of the second, built from its
 entries (`ring.plan_columns`, and `ring.plan_term_rows`, the kernel of every
 matrix product), and the check asks only whether any result is non-empty,
-building no ring element.  `homology_ranks_at` specializes the entries with
-one `specialize_matrix` call per boundary on the ragged rows, pairs each
-value with its column and drops the zero values; the float composite check
-(relative to the largest entries) and `linalg.rank` read these
-{column: value} rows.
+building no ring element.  `homology_ranks_at` specializes the nonzero
+entries of every boundary in one `specialize_matrix` call per complex, on the
+ragged rows in boundary order, so the boundaries share its powers and its
+values of one-term entries, and the first power past the work budget is
+refused as it was boundary by boundary.  It pairs each value with its column
+and drops the zero values; the float composite check (relative to the largest
+entries) and `linalg.rank` read these {column: value} rows.
 """
 
 from __future__ import annotations
@@ -254,11 +257,11 @@ def homology_ranks_at(
     if missing:
         raise ValueError(f"unassigned variables: {sorted(missing)}")
     zero = k.zero  # specialize_matrix gives every zero value as k.zero
-    specialized = []  # each boundary as maps from column to nonzero value, one per row
-    for rows in cpx._nonzero:
-        values = specialize_matrix([elements for _, elements in rows], assignments, k)
-        specialized.append([{j: v for j, v in zip(cols, vs) if v is not zero} if vs else {}
-                            for (cols, _), vs in zip(rows, values)])
+    values = iter(specialize_matrix(
+        [elements for rows in cpx._nonzero for _, elements in rows], assignments, k))
+    # each boundary as maps from column to nonzero value, one per row
+    specialized = [[{j: v for j, v in zip(cols, next(values)) if v is not zero}
+                    for cols, _ in rows] for rows in cpx._nonzero]
     if not k.is_exact:
         # Rounding could make a composite drift from zero; refuse to count
         # ranks of something that is no longer a complex.  Like `rank`, the

@@ -17,17 +17,20 @@ zero.  Over exact coefficients a one-term entry is evaluated once per call.
 Rows may be ragged, so a caller can specialize only the nonzero entries of a
 matrix, as chain complexes do.  Specialized matrices are lists of field
 values, and `rank` is the one Gaussian elimination over them, for every
-field; its rows may also be maps from column to nonzero value, which is how
-chain complexes pass them.  It skips exact zeros, which changes no pivot and
-no rank (see `rank`).
+field: on integer rows over Q (each cleared of denominators and divided by
+its content), on residues mod p over F_p, on floats under complex-approx.
+Its rows may also be maps from column to nonzero value, which is how chain
+complexes pass them.  It skips exact zeros, which changes no pivot and no
+rank (see `rank`).
 """
 
 from __future__ import annotations
 
-from math import isfinite
+from math import gcd, isfinite, lcm
 
-from .ring import (CoefficientRing, GroupRingElement, Integers, LaurentRing, Rationals,
-                   apply_column_plans, column_plan, exact_divide, specialize_rows, sum_of_products)
+from .ring import (CoefficientRing, GroupRingElement, Integers, IntegersModP, LaurentRing,
+                   Rationals, apply_column_plans, column_plan, exact_divide, specialize_rows,
+                   sum_of_products)
 
 Matrix = tuple[tuple[GroupRingElement, ...], ...]
 
@@ -156,20 +159,36 @@ def rank(rows: list, k: CoefficientRing) -> int:
     times the largest entry.  A non-finite entry raises ValueError.
 
     Rows are kept as maps from column to entry, holding only the entries that
-    are not exactly zero (a complex zero of either sign included).  A row with
-    no entry in the pivot column is left alone, and the others are updated at
-    the pivot row's entries only.  An update skipped this way would add an
-    exact zero, so exact values are the same as with every entry kept, and
-    complex ones differ at most in the sign of a zero part, which neither
-    `abs` nor `k.is_zero` sees: every pivot, and so the rank, is the same.
+    are not zero (a complex zero of either sign included).  A row with no
+    entry in the pivot column is left alone, and the others are updated at
+    the pivot row's entries only, in one loop for every field.  Exact fields
+    eliminate on Python ints.  Over Q a row is scaled by the lcm of its
+    denominators and divided by its content, the gcd of its entries; with
+    pivot t, a row whose entry in t's column is v becomes (t/g)*row -
+    (v/g)*(pivot row), g = gcd(t, v), and is divided by its content again.
+    Scaling a row by a nonzero integer makes no entry zero or nonzero, so the
+    pivots, and the rank, are those of the elimination over Fractions, with
+    no Fraction arithmetic and no growth of denominators.  Over F_p the
+    residues are updated mod p, with one inverse per pivot.  Under
+    ComplexApprox the update runs `+` and `*` inline, as `k.add` and `k.mul`
+    would; one skipped because it would add an exact zero could differ from
+    it at most in the sign of a zero part, which neither `abs` nor
+    `k.is_zero` sees: every pivot, and so the rank, is the same.
     """
     if isinstance(k, Integers):
         k = Rationals()
-    if k.is_exact:
+    p, exact = (k.p if isinstance(k, IntegersModP) else 0), k.is_exact
+    if exact:
         coerce, zero = k.coerce, k.zero  # specialize_rows gives every zero entry as k.zero
-        m = [dict(row) if isinstance(row, dict) else
-             {j: c for j, v in enumerate(row) if v is not zero and (c := coerce(v))}
-             for row in rows if row]
+        m = []
+        for row in rows:
+            row = row.items() if isinstance(row, dict) else [
+                (j, c) for j, v in enumerate(row) if v is not zero and (c := coerce(v))]
+            if row and p:
+                m.append(dict(row))
+            elif row:  # over Q: cleared of denominators
+                scale = lcm(*(v.denominator for _, v in row))
+                m.append(_primitive({j: v.numerator * (scale // v.denominator) for j, v in row}))
     else:
         nonzero = [list(row.items()) if isinstance(row, dict) else
                    [(j, v) for j, v in enumerate(row) if v] for row in rows if row]
@@ -177,30 +196,51 @@ def rank(rows: list, k: CoefficientRing) -> int:
             raise ValueError("cannot take the rank of a matrix with non-finite entries")
         scale = max((abs(v) for row in nonzero for _, v in row), default=0)
         m = [{j: s for j, v in row if (s := v / scale)} for row in nonzero] if scale else []
-    m = [row for row in m if row]
-    add, mul, is_zero = k.add, k.mul, k.is_zero
+        m = [row for row in m if row]
     count = 0
     while m:
-        if k.is_exact:  # the first nonzero entry, column by column
+        if exact:  # the first nonzero entry, column by column
             j = min(min(row) for row in m)
             i = next(i for i, row in enumerate(m) if j in row)
         else:  # the largest |entry|
             sizes = [max(map(abs, row.values())) for row in m]
             i = sizes.index(max(sizes))
             j = min(c for c, v in m[i].items() if abs(v) == sizes[i])
-            if is_zero(m[i][j]):
+            if k.is_zero(m[i][j]):
                 break
         pivot = m.pop(i)
-        minus_inverse = k.neg(k.invert(pivot.pop(j)))
+        top = pivot.pop(j)
         pivot_entries = pivot.items()
+        inverse = pow(top, -1, p) if p else (None if exact else -(1 / top))
         for row in m:
             v = row.pop(j, None)
             if v is None:
                 continue
-            factor = mul(v, minus_inverse)
-            if factor:
+            if p:
+                factor = v * inverse % p
                 for c, w in pivot_entries:
-                    s = add(row[c], mul(factor, w)) if c in row else mul(factor, w)
+                    s = (row.get(c, 0) - factor * w) % p
+                    if s:
+                        row[c] = s
+                    else:
+                        row.pop(c, None)
+            elif exact:
+                g = gcd(top, v)
+                a, b = top // g, v // g
+                if a != 1:
+                    for c in row:
+                        row[c] *= a
+                for c, w in pivot_entries:
+                    s = row.get(c, 0) - b * w
+                    if s:
+                        row[c] = s
+                    else:
+                        row.pop(c, None)
+                if row:
+                    _primitive(row)
+            elif factor := v * inverse:  # inverse is minus the pivot's inverse
+                for c, w in pivot_entries:
+                    s = row[c] + factor * w if c in row else factor * w
                     if s:
                         row[c] = s
                     else:
@@ -208,6 +248,15 @@ def rank(rows: list, k: CoefficientRing) -> int:
         m = [row for row in m if row]
         count += 1
     return count
+
+
+def _primitive(row: dict) -> dict:
+    """Divide a row of nonzero ints by its content, in place; the row is returned."""
+    g = gcd(*row.values())
+    if g != 1:
+        for c, v in row.items():
+            row[c] = v // g
+    return row
 
 
 # Old names kept as aliases: the traced benchmark looks them up with getattr and no default.

@@ -156,9 +156,9 @@ class Rationals(CoefficientRing):
         return a != 0
 
     def invert(self, a):
-        if a == 0:
+        if not a:
             raise ValueError("0 is not a unit of the rationals")
-        return 1 / Fraction(a)
+        return Fraction(a.denominator, a.numerator)
 
     def power(self, a, n: int):
         if n >= 0:
@@ -748,11 +748,14 @@ def apply_column_plans(start, plans) -> tuple[tuple[GroupRingElement, ...], ...]
     an entry's products arrive in ascending inner index, and a product that
     lands on an empty accumulator becomes it (the rest merge by `_accumulate`).
     So an entry has the terms, in dict order, of the ring operators' sum over
-    the inner index, which is what float specializations depend on.
+    the inner index, which is what float specializations depend on.  Every
+    entry with no terms is one zero element, shared within the call.
     """
     ring = start[0][0].ring
     rows = plan_term_rows(ring, [[x.terms for x in row] for row in start], plans)
-    return tuple(tuple(GroupRingElement(ring, terms) for terms in row) for row in rows)
+    zero = GroupRingElement(ring, {})
+    return tuple(tuple(GroupRingElement(ring, terms) if terms else zero for terms in row)
+                 for row in rows)
 
 
 def plan_term_rows(ring: LaurentRing, rows: list, plans) -> list:

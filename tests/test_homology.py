@@ -126,6 +126,41 @@ def test_specialized_composite_is_checked_relative_to_its_entries():
         homology_ranks_at(cpx, SpecializationPoint({"x": x}, ComplexApprox(1e-300)))
 
 
+def test_large_rational_entries_rank_without_fraction_growth():
+    """Entries x^(500000 - 7i - 3j) + (i + 2j + 1) at x = 1/3, each about 790,000 bits: the
+    2x2 matrix is invertible.  Eliminating on Fractions took seconds; integer rows do not."""
+    boundary = [[f"x^{500000 - 7 * i - 3 * j} + {i + 2 * j + 1}" for j in range(2)]
+                for i in range(2)]
+    cpx = complex_from_json({"schema": 1, "variables": ["x"], "ranks": [2, 2],
+                             "boundaries": [boundary]})
+    point = SpecializationPoint({"x": Fraction(1, 3)}, Rationals())
+    assert homology_ranks_at(cpx, point) == (0, 0)
+
+
+@pytest.mark.parametrize("direction", ["homological", "cohomological"])
+def test_one_specialization_per_complex_refuses_the_first_power_past_the_budget(
+        direction, monkeypatch):
+    """Both boundaries go through one specialize_matrix call, in boundary order, so the
+    refusal names the first boundary's power, as one call per boundary did."""
+    x = LaurentRing(1, Integers(), ("x",)).var("x")
+    a, b = x ** 2_000_000, x ** 3_000_000
+    first, second = ((a, a),), ((b,), (-b,))  # first * second = 0
+    if direction == "cohomological":
+        first, second = tuple(zip(*first)), tuple(zip(*second))
+    cpx = FiniteChainComplex(x.ring, (1, 2, 1), (first, second), direction)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return specialize_matrix(*args)
+
+    monkeypatch.setattr("braidhom.homology.specialize_matrix", counted)
+    with pytest.raises(ValueError, match="the power 2000000 of 3/2 is past the work budget"):
+        homology_ranks_at(cpx, SpecializationPoint({"x": Fraction(3, 2)}, Rationals()))
+    assert homology_ranks_at(cpx, SpecializationPoint({"x": 5}, IntegersModP(7))) == (0, 0, 0)
+    assert len(calls) == 2
+
+
 def test_homology_ranks_zero_maps():
     ring = LaurentRing(1, Rationals(), ("x",))
     z = ring.zero

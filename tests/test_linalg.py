@@ -592,3 +592,55 @@ def test_rank_on_map_rows_equals_rank_on_dense_rows(data, k, rows, cols, inner):
                                                   complex(1, float("nan"))]))
     maps = [{j: c for j, v in enumerate(row) if (c := k.coerce(v))} for row in values]
     assert _rank_or_refusal(maps, k) == _rank_or_refusal(values, k)
+
+
+def _dense_rank(rows, p=0):
+    """The oracle: textbook dense elimination over Fractions, or over residues mod p."""
+    m = [[Fraction(v) if not p else v % p for v in row] for row in rows]
+    count = 0
+    for col in range(len(m[0]) if m else 0):
+        i = next((i for i in range(count, len(m)) if m[i][col]), None)
+        if i is None:
+            continue
+        m[count], m[i] = m[i], m[count]
+        top = m[count]
+        for row in m[count + 1:]:
+            if row[col]:
+                f = row[col] * pow(top[col], -1, p) % p if p else row[col] / top[col]
+                row[:] = [(x - f * y) % p if p else x - f * y for x, y in zip(row, top)]
+        count += 1
+    return count
+
+
+HUGE = 10**40
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.sampled_from([Rationals(), Integers(), IntegersModP(2), IntegersModP(3),
+                                   IntegersModP(7), IntegersModP(1_000_003)]),
+       st.integers(1, 7), st.integers(1, 7), st.integers(0, 4))
+def test_exact_rank_matches_a_dense_elimination(data, k, rows, cols, inner):
+    """Integer rows (Q and Z) and residues (F_p) against an oracle sharing no code with rank."""
+    if isinstance(k, Rationals):  # large denominators and numerators, and plain ints
+        entry = (st.fractions(min_value=-HUGE, max_value=HUGE, max_denominator=HUGE)
+                 | st.integers(-HUGE, HUGE) | st.integers(-3, 3)).filter(bool)
+    elif isinstance(k, Integers):
+        entry = (st.integers(-HUGE, HUGE) | st.integers(-3, 3)).filter(bool)
+    else:  # residues and lifts, p and -p among them
+        entry = (st.integers(-3 * k.p, 3 * k.p) | st.sampled_from([k.p, -k.p, k.p + 1])
+                 ).filter(bool)
+    values = _low_rank(data, rows, cols, inner, entry)
+    p = getattr(k, "p", 0)
+    expected = _dense_rank(values, p)
+    assert rank(values, k) == expected
+    maps = [{j: v % p if p else v for j, v in enumerate(row) if (v % p if p else v)}
+            for row in values]
+    assert rank(maps, k) == expected
+
+
+@pytest.mark.parametrize("k", [Rationals(), Integers()])
+def test_a_float_in_an_exact_rank_is_a_type_error(k):
+    with pytest.raises(TypeError):
+        rank([[1, 2], [0.5, 3]], k)
+    with pytest.raises(TypeError):
+        rank([[Fraction(1, 2)], [float("nan")]], k)
