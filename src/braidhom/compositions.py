@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from math import comb
 
+MAX_PARTS = 10**7  # the most parts `compositions` stores, count(l, m) * l
+
 
 def count(l: int, m: int) -> int:
     """|E_{l,m}| by stars and bars.
@@ -28,12 +30,16 @@ def count(l: int, m: int) -> int:
 def compositions(l: int, m: int) -> list[tuple[int, ...]]:
     """All l-tuples of non-negative integers summing to m, in colex order.
 
+    More than MAX_PARTS = 10^7 parts, count(l, m) * l, is a ValueError at once.
+
     >>> compositions(2, 2)
     [(2, 0), (1, 1), (0, 2)]
     >>> compositions(1, 5)
     [(5,)]
     """
-    _validate_shape(l, m)
+    if (size := count(l, m)) * l > MAX_PARTS:
+        raise ValueError(f"the {size} compositions of {m} into {l} parts exceed the bound of "
+                         f"{MAX_PARTS} stored parts")
     # Colex successor: the first nonzero part j sends one point to arc j + 1
     # and the rest of its points to arc 0; (0, ..., 0, m) is the last.
     parts = [m] + [0] * (l - 1)

@@ -25,9 +25,10 @@ building no ring element.  `homology_ranks_at` specializes the nonzero
 entries of every boundary in one `specialize_matrix` call per complex, on the
 ragged rows in boundary order, so the boundaries share its powers and its
 values of one-term entries, and the first power past the work budget is
-refused as it was boundary by boundary.  It pairs each value with its column
-and drops the zero values; the float composite check (relative to the largest
-entries) and `linalg.rank` read these {column: value} rows.
+refused as it was boundary by boundary.  It pairs each nonzero value with its
+column; the float composite check (each composite entry a running sum of its
+products, relative to the largest entries) and `linalg.rank` read these
+{column: value} rows.
 """
 
 from __future__ import annotations
@@ -256,11 +257,10 @@ def homology_ranks_at(
     missing = set(cpx.ring.variables) - set(assignments)
     if missing:
         raise ValueError(f"unassigned variables: {sorted(missing)}")
-    zero = k.zero  # specialize_matrix gives every zero value as k.zero
     values = iter(specialize_matrix(
         [elements for rows in cpx._nonzero for _, elements in rows], assignments, k))
     # each boundary as maps from column to nonzero value, one per row
-    specialized = [[{j: v for j, v in zip(cols, next(values)) if v is not zero}
+    specialized = [[{j: v for j, v in zip(cols, next(values)) if v}
                     for cols, _ in rows] for rows in cpx._nonzero]
     if not k.is_exact:
         # Rounding could make a composite drift from zero; refuse to count
@@ -274,14 +274,11 @@ def homology_ranks_at(
                 continue
             scale = _largest(a) * _largest(b)
             for row in a:
-                products: dict[int, list] = {}  # column -> its nonzero products, in index order
+                sums = {}  # column -> the sum of its nonzero products, in index order
                 for inner, x in row.items():
                     for j, v in b[inner].items():
-                        if j in products:
-                            products[j].append(x * v)
-                        else:
-                            products[j] = [x * v]
-                if any(abs(sum(p)) > k.tolerance * scale for p in products.values()):
+                        sums[j] = sums[j] + x * v if j in sums else x * v
+                if any(abs(s) > k.tolerance * scale for s in sums.values()):
                     raise ValueError(
                         f"specialized boundaries {i}, {i + 1} no longer compose to zero")
     boundary_ranks = [rank(values, k) for values in specialized]

@@ -6,22 +6,18 @@ and applies it (`ring.column_plan`, `ring.apply_column_plans`), the kernel that
 braid words and the braid relations use with cached plans and that chain
 complexes run on term maps for their composite check; the `apply_column_plans`
 docstring states the term order every product keeps.  Fraction-free inversion
-sums each entry with `sum_of_products`.
+sums each entry with `sum_of_products`; the tests keep it as the oracle of the
+braid layer's closed-form inverses.
 
-`specialize_matrix` evaluates a matrix at a point in one pass
-(`ring.specialize_rows`): a term is its coefficient times the powers of the
-values in variable order, and an entry sums its terms in dict order (from the
-field's zero under complex-approx, from its first term over an exact field),
-so float values depend on term order; an entry with no terms is the field's
-zero.  Over exact coefficients a one-term entry is evaluated once per call.
-Rows may be ragged, so a caller can specialize only the nonzero entries of a
-matrix, as chain complexes do.  Specialized matrices are lists of field
-values, and `rank` is the one Gaussian elimination over them, for every
-field: on integer rows over Q (each cleared of denominators and divided by
-its content), on residues mod p over F_p, on floats under complex-approx.
-Its rows may also be maps from column to nonzero value, which is how chain
-complexes pass them.  It skips exact zeros, which changes no pivot and no
-rank (see `rank`).
+`specialize_matrix` is `ring.specialize_matrix` itself, whose docstring states
+the order of float operations: it evaluates a matrix at a point in one pass,
+and its rows may be ragged, so a caller can specialize only the nonzero
+entries of a matrix, as chain complexes do.  Specialized matrices are lists of
+field values, and `rank` is the one Gaussian elimination over them, for every
+field: on integer rows over Q (each cleared of denominators and divided by its
+content), on residues mod p over F_p, on floats under complex-approx.  Its
+rows may also be maps from column to nonzero value, which is how chain
+complexes pass them.
 """
 
 from __future__ import annotations
@@ -29,7 +25,7 @@ from __future__ import annotations
 from math import gcd, isfinite, lcm
 
 from .ring import (CoefficientRing, GroupRingElement, Integers, IntegersModP, LaurentRing,
-                   Rationals, apply_column_plans, column_plan, exact_divide, specialize_rows,
+                   Rationals, apply_column_plans, column_plan, exact_divide, specialize_matrix,
                    sum_of_products)
 
 Matrix = tuple[tuple[GroupRingElement, ...], ...]
@@ -139,17 +135,13 @@ def invert(a: Matrix, ring: LaurentRing) -> Matrix:
     return tuple(tuple(det_inv * m[i][j] for j in range(n, 2 * n)) for i in range(n))
 
 
-def specialize_matrix(a: Matrix, assignments: dict, target) -> list[list]:
-    """The value of every entry at the assignments (Fractions, complex numbers, ...)."""
-    return specialize_rows(a, assignments, target)
-
-
 def rank(rows: list, k: CoefficientRing) -> int:
     """Rank of a matrix over the field k by Gaussian elimination; the integers count as Q.
 
-    A row is a sequence of entries, or a map from column to entry that holds
-    only nonzero values of k, which is copied with no coercion; it gives the
-    rank its sequence would.  `homology_ranks_at` passes maps.
+    A row is a sequence of entries, each coerced into k and dropped when it is
+    zero, or a map from column to entry that holds only nonzero values of k,
+    which is copied with no coercion; it gives the rank its sequence would.
+    `homology_ranks_at` passes maps.
 
     Each step takes a pivot, clears its column from the rows still in play
     and drops the pivot's row and column.  Exact fields pivot on the first
@@ -179,11 +171,10 @@ def rank(rows: list, k: CoefficientRing) -> int:
         k = Rationals()
     p, exact = (k.p if isinstance(k, IntegersModP) else 0), k.is_exact
     if exact:
-        coerce, zero = k.coerce, k.zero  # specialize_rows gives every zero entry as k.zero
         m = []
         for row in rows:
             row = row.items() if isinstance(row, dict) else [
-                (j, c) for j, v in enumerate(row) if v is not zero and (c := coerce(v))]
+                (j, c) for j, v in enumerate(row) if (c := k.coerce(v))]
             if row and p:
                 m.append(dict(row))
             elif row:  # over Q: cleared of denominators

@@ -33,6 +33,8 @@ from .surfaces import (SIDES, BasisClass, LocalSystem, SurfaceTriad, basis, chec
                        dimension)
 from .values import value_class
 
+MAX_ENTRIES = 10**7  # the largest pairing matrix built, as `braid.MAX_ENTRIES` for words
+
 
 @value_class
 class PairingMatrix:
@@ -61,8 +63,10 @@ class PairingMatrix:
 def delta_pairing(triad: SurfaceTriad, side: str, ring: LaurentRing | None = None) -> PairingMatrix:
     """The pairing of the locally finite basis against the relative basis.
 
-    Non-degeneracy in its sharpest form: the matrix is the identity.
+    Non-degeneracy in its sharpest form: the matrix is the identity.  More
+    than MAX_ENTRIES = 10^7 entries is a ValueError before anything is built.
     """
+    d = _dimension_within_bound(triad)
     if ring is None:
         from .surfaces import standard_local_system
 
@@ -73,8 +77,15 @@ def delta_pairing(triad: SurfaceTriad, side: str, ring: LaurentRing | None = Non
         left_flavour="locally_finite",
         right_flavour="relative",
         ring=ring,
-        entries=identity(ring, dimension(triad)),
+        entries=identity(ring, d),
     )
+
+
+def _dimension_within_bound(triad: SurfaceTriad) -> int:
+    """The dimension d of the triad's bases; ValueError if d * d passes MAX_ENTRIES."""
+    if (d := dimension(triad)) ** 2 > MAX_ENTRIES:
+        raise ValueError(f"a {d}x{d} pairing matrix exceeds the bound of {MAX_ENTRIES} entries")
+    return d
 
 
 def inversions(perm: tuple[int, ...]) -> int:
@@ -169,14 +180,16 @@ def geometric_pairing_matrix(
     Diagonal entries are products of quantum factorials; off-diagonal
     entries vanish because the arc systems then share no configurations, so
     they share one zero, as in `linalg.identity`.  Each per-arc sum is
-    enumerated once for the whole matrix.
+    enumerated once for the whole matrix.  More than MAX_ENTRIES = 10^7
+    entries is a ValueError before anything is built.
     """
+    d = _dimension_within_bound(triad)
     lf_images = basis(triad, side, "lf_image")
     relatives = basis(triad, side, "relative")
     check_homogeneity(triad, system)
     local_sums = {r: local_intersection_sum(r, system.u)
                   for r in {r for right in relatives for r in right.composition}}
-    zero, d = system.ring.zero, len(relatives)
+    zero = system.ring.zero
     entries = tuple(
         (zero,) * i
         + (_class_pairing(left.composition, right.composition, local_sums, system.ring),)

@@ -556,13 +556,13 @@ class GroupRingElement:
         return GroupRingElement(self.ring, {-key: self.ring.coefficients.invert(coeff)})
 
     def specialize(self, assignments: dict, target: CoefficientRing) -> GroupRingElement:
-        """Substitute a numeric value for every variable (`specialize_rows` on one entry).
+        """Substitute a numeric value for every variable (`specialize_matrix` on one entry).
 
         `assignments` maps variable names to values coercible into `target`;
         the result lives in the rank-0 Laurent ring over `target`.  Values
         must be invertible in `target` whenever negative exponents occur.
         """
-        ((total,),) = specialize_rows([(self,)], assignments, target)
+        ((total,),) = specialize_matrix([(self,)], assignments, target)
         return GroupRingElement(LaurentRing(0, target), {} if target.is_zero(total) else {0: total})
 
     # -- printing and parsing -------------------------------------------------
@@ -719,15 +719,15 @@ def plan_columns(ring: LaurentRing, height: int, columns: list) -> tuple:
     its nonzero entries as (row, term map) in ascending row order.
 
     The plan is (ring, number of rows, number of columns, columns); a column is
-    (index, entries) and lists its nonzero entries in ascending row order as
-    (row, 0, 1, term map), a full product.  Over Z and Q, whose add, mul and
-    is_zero are Python's operators, a product with 1 changes nothing and one of
-    nonzero terms is never zero, so a column whose one nonzero entry is a 1 in
-    its own row is left out (the kernel keeps that entry of the row), a one-term
-    entry is (row, shift, coefficient, None), and both keep the term order
-    stated in `apply_column_plans`.  F_p must reduce mod p, and under
-    complex-approx a product with 1 turns a -0.0 imaginary part into 0.0, so
-    every column of theirs is listed, as full products.
+    (index, entries) and lists its nonzero entries in ascending row order, each
+    a full product (row, 0, 1, term map) or a shift (row, shift, 1 or -1, None)
+    by the one-term entry x^shift or -x^shift.  Only over Z and Q, whose add,
+    mul and is_zero are Python's operators, is a product with 1 a no-op and one
+    of nonzero terms never zero: there the +-1 one-term entries are shifts, and
+    a column whose one nonzero is a 1 in its own row is left out (the kernel
+    keeps that entry), both keeping the term order of `apply_column_plans`.
+    Over F_p (which reduces mod p) and complex-approx (where a product with 1
+    turns a -0.0 imaginary part into 0.0) every column is listed, as products.
     """
     native = _native(ring.coefficients)
     planned = []
@@ -735,8 +735,9 @@ def plan_columns(ring: LaurentRing, height: int, columns: list) -> tuple:
         if native and entries == [(j, {0: 1})]:
             continue
         planned.append((j, tuple([
-            (i, *next(iter(g.items())), None) if native and len(g) == 1 else (i, 0, 1, g)
-            for i, g in entries
+            (i, *term, None)
+            if native and len(g) == 1 and (term := next(iter(g.items())))[1] in (1, -1)
+            else (i, 0, 1, g) for i, g in entries
         ])))
     return ring, height, len(columns), tuple(planned)
 
@@ -763,13 +764,13 @@ def plan_term_rows(ring: LaurentRing, rows: list, plans) -> list:
 
     Each output row starts as its input row, cut or padded with empty maps to
     the plan's width, and only the listed columns are written: each sums its
-    entries' products, a shift and scale by a one-term entry or a full
-    product.  Over Z and Q the products and merges run `_product`'s and
-    `_accumulate`'s loops inline with Python's operators, and a one-term entry
-    with coefficient 1 or -1 merges by adding or subtracting, with no product;
-    over F_p and complex-approx they call `_product` and `_accumulate`.  The
-    rows (at least one) are replaced in place and returned; an entry of the
-    result may be a term map of `rows`.
+    entries' products, the row's term map shifted (and negated, for -1) by a
+    shift entry or multiplied by a full product's term map.  Over Z and Q the
+    products and merges run `_product`'s and `_accumulate`'s loops inline with
+    Python's operators, so a shift merges by adding or subtracting, with no
+    product; over F_p and complex-approx they call `_product` and
+    `_accumulate`.  The rows (at least one) are replaced in place and
+    returned; an entry of the result may be a term map of `rows`.
     """
     k = ring.coefficients
     native = _native(k)
@@ -804,7 +805,7 @@ def plan_term_rows(ring: LaurentRing, rows: list, plans) -> list:
                     if not acc:
                         acc = (f if g is not None else dict(f) if c == 1 and not shift else
                                {e + shift: v for e, v in f.items()} if c == 1 else
-                               {e + shift: c * v for e, v in f.items()})
+                               {e + shift: -v for e, v in f.items()})
                     elif c == -1:
                         for e, v in f.items():
                             e += shift
@@ -813,18 +814,10 @@ def plan_term_rows(ring: LaurentRing, rows: list, plans) -> list:
                                 acc[e] = s
                             else:
                                 del acc[e]
-                    elif c == 1:
-                        for e, v in f.items():
-                            e += shift
-                            s = acc.get(e, 0) + v
-                            if s:
-                                acc[e] = s
-                            else:
-                                del acc[e]
                     else:
                         for e, v in f.items():
                             e += shift
-                            s = acc.get(e, 0) + c * v
+                            s = acc.get(e, 0) + v
                             if s:
                                 acc[e] = s
                             else:
@@ -839,7 +832,7 @@ POWER_CHAIN_LIMIT = 10**6  # products in a power that `CoefficientRing.power` ta
 
 
 def _exponent_limit(target: CoefficientRing, value) -> float:
-    """The largest |e| for which `specialize_rows` computes value^e in `target`.
+    """The largest |e| for which `specialize_matrix` computes value^e in `target`.
 
     Over Z and Q, value^e has about |e| * max(bit lengths of the numerator and
     denominator) bits, which may not pass POWER_BITS_BUDGET (0, 1 and -1,
@@ -858,24 +851,23 @@ def _exponent_limit(target: CoefficientRing, value) -> float:
     return limit
 
 
-def specialize_rows(rows, assignments: dict, target: CoefficientRing) -> list[list]:
+def specialize_matrix(rows, assignments: dict, target: CoefficientRing) -> list[list]:
     """The value in `target` of every entry of `rows` (all in one ring) at the assignments.
 
-    Once per call: the variables are checked, the values coerced and each power
-    value^e computed by `target.power` (by squaring over Q and F_p, left to
-    right under complex-approx); a power whose |e| is past `_exponent_limit`
-    is a ValueError, before any arithmetic.  Rows may have different lengths.
+    The one evaluator at a point, which `linalg` exports.  Once per call: the
+    variables are checked, the values coerced and each power value^e computed
+    by `target.power` (by squaring over Q and F_p, left to right under
+    complex-approx); a power whose |e| is past `_exponent_limit` is a
+    ValueError, before any arithmetic.  Rows may have different lengths.
     Each entry keeps one order of float operations: a term is
-    coerce(coefficient) times the powers in variable order, the terms are
-    summed in dict order, and a total target.is_zero calls zero becomes
-    target.zero.  Under complex-approx the sum starts from
-    target.zero, since 0j + t can turn a -0.0 part of t into 0.0; over an exact
-    target it starts from the first term, since there 0 + t is t.  An entry
-    with no terms is target.zero at once, which is what summing no terms from
-    target.zero gives.  When the ring's coefficients are exact, the value of a
-    one-term entry is kept per (packed key, coefficient) for the rest of the
-    call; complex coefficients are not, because equal keys such as
-    complex(0.0, 1) and complex(-0.0, 1) are different values.
+    coerce(coefficient) times the powers in variable order, and the terms are
+    summed in dict order, from target.zero under complex-approx (0j + t can
+    turn a -0.0 part of t into 0.0) and from the first term over an exact
+    target (where 0 + t is t); a total that target.is_zero calls zero, and an
+    entry with no terms, is target.zero.  When the ring's coefficients are
+    exact, the value of a one-term entry is kept per (packed key, coefficient)
+    for the rest of the call; complex coefficients are not, because equal keys
+    such as complex(0.0, 1) and complex(-0.0, 1) are different values.
     """
     ring = next((x.ring for row in rows for x in row), None)
     variables = ring.variables if ring else ()

@@ -1,6 +1,8 @@
 """Tests for the braid-group matrices: relations, duality, integrality."""
 
+import contextlib
 import functools
+import io
 import json
 import random
 from pathlib import Path
@@ -19,6 +21,7 @@ from braidhom.braid import (
     evaluate_word,
     generator_matrix,
 )
+from braidhom.cli import main
 from braidhom.compositions import compositions
 from braidhom.linalg import identity, mat_eq, mat_mul, specialize_matrix
 from braidhom.pairing import delta_pairing
@@ -346,6 +349,81 @@ def test_braid_equal_words_evaluate_equally():
         left = evaluate_word(BraidWord(3, (1, 2, 1)), m)
         right = evaluate_word(BraidWord(3, (2, 1, 2)), m)
         assert mat_eq(left.rows(), right.rows())
+
+
+def _rewrite(letters, moves):
+    """The word `letters` after braid-group moves, each (kind, k, i, sign).
+
+    "insert" puts sigma_i^sign sigma_i^-sign before the k-th letter, "swap"
+    exchanges the k-th pair of adjacent letters whose generators are at least
+    2 apart, and "braid" replaces the k-th occurrence of sigma_j sigma_j+1
+    sigma_j by sigma_j+1 sigma_j sigma_j+1, or back; k counts modulo the
+    places a move applies, and a move that applies nowhere is skipped.
+    """
+    letters = list(letters)
+    for kind, k, i, sign in moves:
+        if kind == "insert":
+            k %= len(letters) + 1
+            letters[k:k] = [sign * i, -sign * i]
+            continue
+        if kind == "swap":
+            places = [p for p in range(len(letters) - 1)
+                      if abs(abs(letters[p]) - abs(letters[p + 1])) >= 2]
+        else:
+            places = [p for p in range(len(letters) - 2) if letters[p] == letters[p + 2] > 0
+                      and abs(letters[p] - letters[p + 1]) == 1]
+        if places:
+            p = places[k % len(places)]
+            if kind == "swap":
+                letters[p], letters[p + 1] = letters[p + 1], letters[p]
+            else:
+                a, b = letters[p], letters[p + 1]
+                letters[p:p + 3] = [b, a, b]
+    return tuple(letters)
+
+
+@st.composite
+def _equal_words(draw):
+    """(n, m, word, rewritten word): blocks of one letter or sigma_i sigma_i+1 sigma_i, moved."""
+    n, m = draw(st.integers(2, 6)), draw(st.sampled_from((1, 2)))
+    generator = st.integers(1, n - 1)
+    letter = st.tuples(generator, st.sampled_from((1, -1))).map(lambda t: (t[0] * t[1],))
+    triple = st.integers(1, max(1, n - 2)).map(lambda i: (i, i + 1, i) if n > 2 else (i,))
+    blocks = draw(st.lists(letter | triple, max_size=5))
+    word = tuple(a for block in blocks for a in block)
+    moves = draw(st.lists(st.tuples(st.sampled_from(("insert", "swap", "braid")),
+                                    st.integers(0, 20), generator, st.sampled_from((1, -1))),
+                          min_size=1, max_size=6))
+    return n, m, word, _rewrite(word, moves)
+
+
+def _rep_stdout(n, m, word, *flags):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["rep", "--n", str(n), "--m", str(m), f"--word={','.join(map(str, word))}",
+                     *flags]) == 0
+    return out.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_equal_words())
+@example((3, 2, (1, 2, 1), (2, 1, 2)))
+@example((5, 2, (2, 1, -2, 1, 1), (2, 1, -2, 1, 1, 2, -2)))
+def test_words_equal_in_the_braid_group_print_equal_bytes(case):
+    """Equal braids give equal matrices and byte-identical `rep` output, unspecialized
+    and at a rational point.  At a complex point only agreement within tolerance is
+    required: each entry is summed in its term order, which equal words need not share,
+    so the last digit may differ."""
+    n, m, word, rewritten = case
+    left, right = evaluate_word(BraidWord(n, word), m), evaluate_word(BraidWord(n, rewritten), m)
+    assert mat_eq(left.entries, right.entries)
+    point = "x=3/2,d=-2/5"
+    for flags in ((), ("--specialize", point), ("--specialize", point, "--format", "text")):
+        assert _rep_stdout(n, m, word, *flags) == _rep_stdout(n, m, rewritten, *flags)
+    k, at = ComplexApprox(), {"x": complex(0.3, 0.1), "d": 0.7}
+    a, b = (specialize_matrix(rho.entries, at, k) for rho in (left, right))
+    scale = max(abs(v) for row in a for v in row)
+    assert all(abs(u - v) <= k.tolerance * scale for r, s in zip(a, b) for u, v in zip(r, s))
 
 
 def test_full_twist_is_central():

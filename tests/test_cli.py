@@ -306,6 +306,24 @@ def test_rep_beyond_the_entry_bound_is_one_error_line(capsys, n, m):
     assert "exceeds the bound of 10000000 entries" in err
 
 
+@pytest.mark.parametrize("argv", [
+    "basis --surface 0,40,0 --m 40",
+    "embed --surface 0,40,0 --m 40",
+    "helix --surface 0,40,0 --m 40 --e 40 --y 1,0 --z 0,1",
+    "pairing --surface 0,3,0 --m 100000",
+    "pairing --surface 0,11,0 --m 9 --geometric",
+])
+def test_a_basis_or_pairing_past_its_size_bound_is_one_error_line(capsys, argv):
+    # Unbounded, each of these would build more than 10^7 parts or matrix entries.
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv.split())
+    assert time.perf_counter() - start < 5
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "exceed" in err and "the bound of 10000000" in err
+
+
 def _circle_file(tmp_path):
     path = tmp_path / "circle.json"
     path.write_text(json.dumps(complex_to_json(circle_complex(

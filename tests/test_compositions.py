@@ -59,3 +59,15 @@ def test_unrank_rejects_out_of_range():
         unrank(count(3, 2), 3, 2)
     with pytest.raises(ValueError):
         unrank(-1, 3, 2)
+
+
+def test_compositions_refuse_more_stored_parts_than_the_bound(monkeypatch):
+    with pytest.raises(ValueError, match="exceed the bound of 10000000 stored parts"):
+        compositions(3163, 1)  # 3163 * 3163 parts; 3162 * 3162 is the largest Burau basis
+    with pytest.raises(ValueError, match="26536589497469056215210 compositions"):
+        compositions(39, 40)
+    # `braidhom.compositions` is the function, which shadows its module's name
+    monkeypatch.setitem(compositions.__globals__, "MAX_PARTS", 6)
+    assert compositions(2, 2) == [(2, 0), (1, 1), (0, 2)]  # 3 * 2 parts
+    with pytest.raises(ValueError):
+        compositions(3, 1)  # 3 * 3 parts

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
+from braidhom import braid
 from braidhom.linalg import (
     as_matrix,
     identity,
@@ -225,6 +226,62 @@ def test_column_plans_match_mat_mul(case):
     assert _term_lists(chained) == _term_lists(reference_mat_mul(expected, third))
 
 
+def _assert_two_entry_kinds(matrix):
+    """Over ZZ and QQ a one-term entry with coefficient 1 or -1 is planned as a shift,
+    (row, packed key, coefficient, None); every other listed entry is a full product."""
+    native = isinstance(matrix[0][0].ring.coefficients, (Integers, Rationals))
+    for j, col in column_plan(matrix)[3]:
+        for i, shift, c, g in col:
+            terms = matrix[i][j].terms
+            if native and len(terms) == 1 and next(iter(terms.values())) in (1, -1):
+                assert g is None and {shift: c} == terms
+            else:
+                assert (shift, c, g) == (0, 1, terms)
+
+
+@settings(max_examples=50, deadline=None)
+@given(plan_cases())
+@example(plan_case(ZZ, "square"))
+@example(plan_case(ZZ, "cancel"))
+@example(plan_case(QQ, "wide"))
+@example(plan_case(QQ, "cancel"))
+def test_plan_entries_are_unit_shifts_or_full_products(case):
+    for matrix in case:
+        _assert_two_entry_kinds(matrix)
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ])
+def test_plan_cases_scale_only_by_full_products(ring):
+    """Each {c} entry of PLAN_CASES is a full product, and the drawn 3*x^-1*d is one."""
+    planned = 0
+    for name, texts in PLAN_CASES.items():
+        for matrix, rows in zip(plan_case(ring, name), texts):
+            entries = {(i, j): (shift, c, g) for j, col in column_plan(matrix)[3]
+                       for i, shift, c, g in col}
+            for i, row in enumerate(rows):
+                for j, text in enumerate(row):
+                    if "{c}" in text:
+                        assert entries[i, j] == (0, 1, matrix[i][j].terms)
+                        planned += 1
+    assert planned == 7
+    scaled = ring.monomial((-1, 1), 3)
+    ((_, (entry,)),) = column_plan(as_matrix([[scaled]]))[3]
+    assert entry == (0, 0, 1, scaled.terms)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_letter_plans_shift_every_one_term_table_entry(m):
+    """Every one-term entry of a generator or inverse with n <= 8 is 1 or -1 times a
+    monomial, so its letter plan shifts by it and multiplies by no one-term entry."""
+    for n in range(2, 9):
+        for i in range(1, n):
+            for letter, matrix in ((i, braid._generator_entries(n, i, m)),
+                                   (-i, braid._generator_inverse_entries(n, i, m))):
+                _assert_two_entry_kinds(matrix)
+                for _, col in braid._letter_plan(n, letter, m)[3]:
+                    assert all(g is None or len(g) > 1 for _, _, _, g in col)
+
+
 @pytest.mark.parametrize("ring", [ZZ, QQ, F7, CC])
 def test_column_plans_list_the_columns_they_write(ring):
     """Over ZZ and QQ a plan leaves out each column whose one nonzero is a 1 in its own row."""
@@ -389,6 +446,12 @@ def test_powers_match_repeated_products(data, k, e):
     assert repr(k.power(v, e)) == repr(product)
     if isinstance(k, Rationals):
         assert sympy.Rational(str(k.power(v, e))) == sympy.Rational(str(v)) ** e
+
+
+def test_specialize_matrix_is_the_ring_evaluator():
+    import braidhom.ring
+
+    assert specialize_matrix is braidhom.ring.specialize_matrix
 
 
 def test_specialize_matrix_refusals():

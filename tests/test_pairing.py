@@ -185,3 +185,34 @@ def test_inversions_agrees_with_brute_force():
                 if perm[i] > perm[j]
             )
             assert inversions(perm) == expected
+
+
+
+def test_pairings_refuse_a_matrix_past_the_entry_bound_before_building(monkeypatch):
+    import braidhom.pairing
+
+    def refuse(*args):
+        raise AssertionError("built")
+
+    monkeypatch.setattr(braidhom.pairing, "identity", refuse)
+    monkeypatch.setattr(braidhom.pairing, "basis", refuse)
+    triad = SurfaceTriad(0, 3, 0, 100000)  # two arcs: d = 100001
+    for build in (lambda: delta_pairing(triad, "in"),
+                  lambda: geometric_pairing_matrix(triad, "in", standard_local_system(100000))):
+        with pytest.raises(ValueError) as refusal:
+            build()
+        assert str(refusal.value) == ("a 100001x100001 pairing matrix exceeds the bound of"
+                                      " 10000000 entries")
+
+
+def test_pairings_admit_a_matrix_at_the_entry_bound(monkeypatch):
+    import braidhom.pairing
+
+    monkeypatch.setattr(braidhom.pairing, "MAX_ENTRIES", 25)
+    at, past = SurfaceTriad(0, 3, 0, 4), SurfaceTriad(0, 3, 0, 5)  # d = 5 and 6
+    assert len(delta_pairing(at, "in").entries) == 5
+    assert len(geometric_pairing_matrix(at, "in", standard_local_system(4)).entries) == 5
+    with pytest.raises(ValueError, match="a 6x6 pairing matrix"):
+        delta_pairing(past, "in")
+    with pytest.raises(ValueError, match="a 6x6 pairing matrix"):
+        geometric_pairing_matrix(past, "in", standard_local_system(5))
