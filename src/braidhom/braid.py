@@ -72,12 +72,12 @@ the basis vectors of every composition with no point there fixed; at n = 6 an
 LKB generator has at most 28 nonzeros out of 225.  Each letter is compiled once
 into a cached column plan (ring.column_plan), which leaves out every column
 whose only nonzero is a 1 in its own row: at n = 6, sigma_2 lists 12 of its 15
-columns and sigma_1 lists 9.  evaluate_word applies the plans to the rows of
-the running product, kept as term maps, and each letter writes only the
-columns it lists.  linalg.mat_mul runs the same kernel, so a word's entries
-keep the term order of a fold of mat_mul (the rule is in
-ring.apply_column_plans) and specializations do not change.  Both sides of the
-braid relations go through it too.
+columns and sigma_1 lists 9.  evaluate_word starts from the identity, whose
+columns are its rows, and keeps the running product by columns of term maps:
+each letter rebuilds only the columns it lists and carries the rest over.
+linalg.mat_mul runs the same kernel, so a word's entries keep the term order of
+a fold of mat_mul (the rule is in ring.apply_column_plans) and specializations
+do not change.  Both sides of the braid relations go through it too.
 
 Size and caches.  evaluate_word refuses a matrix of more than MAX_ENTRIES =
 10^7 entries before it builds anything: rep --n 3000 --m 1 has 8,994,001
@@ -128,8 +128,8 @@ def disc_triad(n: int, m: int) -> SurfaceTriad:
 class BraidWord:
     """A word in the standard braid generators on n strands.
 
-    Letters are nonzero integers: i > 0 stands for the i-th generator,
-    -i for its inverse.  The empty word is the identity braid.
+    Letters are nonzero integers, not floats: i > 0 stands for the i-th
+    generator, -i for its inverse.  The empty word is the identity braid.
     """
 
     n: int
@@ -138,10 +138,11 @@ class BraidWord:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError(f"braid group needs n >= 2 strands, got {self.n}")
-        object.__setattr__(self, "letters", tuple(int(a) for a in self.letters))
-        for a in self.letters:
-            if a == 0 or abs(a) > self.n - 1:
-                raise ValueError(f"letter {a} out of range for n={self.n}")
+        letters = tuple(self.letters)
+        for a in letters:
+            if not isinstance(a, int) or a == 0 or abs(a) > self.n - 1:
+                raise ValueError(f"letter {a!r} out of range for n={self.n}")
+        object.__setattr__(self, "letters", tuple(map(int, letters)))
 
     def inverse(self) -> "BraidWord":
         return BraidWord(self.n, tuple(-a for a in reversed(self.letters)))
@@ -273,7 +274,7 @@ def evaluate_word(word: BraidWord, m: int) -> RepMatrix:
     """Ordered product of generator matrices over the letters of `word`.
 
     Inverse letters use exact inverses; all entries stay in R because the
-    generator determinants are units.  Each letter acts on the rows of the
+    generator determinants are units.  Each letter acts on the columns of the
     running product through its cached column plan (module docstring).  A
     matrix of more than MAX_ENTRIES = 10^7 entries is refused with ValueError
     before anything is built.

@@ -18,10 +18,10 @@ and keeps them in a private attribute that is not a field: equality, repr
 and `complex_to_json` see the boundaries only.  Everything after that pass
 visits only those entries, with the values and verdicts of a pass over every
 entry.  Over R a composite is decided on term maps: the first factor's
-nonzero rows go through the column plan of the second, built from its
-entries (`ring.plan_columns`, and `ring.plan_term_rows`, the kernel of every
-matrix product), and the check asks only whether any result is non-empty,
-building no ring element.  `homology_ranks_at` specializes the nonzero
+nonzero rows are laid out by columns, as `ring.plan_term_columns` (the kernel
+of every matrix product) takes them, with no transpose, and go through the
+column plan of the second factor, built from its entries (`ring.plan_columns`);
+the check asks only whether any result is non-empty, building no ring element.  `homology_ranks_at` specializes the nonzero
 entries of every boundary in one `specialize_matrix` call per complex, on the
 ragged rows in boundary order, so the boundaries share its powers and its
 values of one-term entries, and the first power past the work budget is
@@ -45,7 +45,7 @@ from .ring import (
     Rationals,
     exact_divide,
     plan_columns,
-    plan_term_rows,
+    plan_term_columns,
 )
 from .surfaces import LocalSystem, SurfaceTriad, check_homogeneity
 from .values import value_class
@@ -161,18 +161,16 @@ class FiniteChainComplex:
             if not (rows and any(cols for cols, _ in nonzero[b])):  # the composite is zero
                 continue
             height, width = self._shape(b)
-            first = []
-            for cols, elements in rows:
-                terms = [{}] * height
+            first = [[{}] * len(rows) for _ in range(height)]
+            for r, (cols, elements) in enumerate(rows):
                 for j, x in zip(cols, elements):
-                    terms[j] = x.terms
-                first.append(terms)
+                    first[j][r] = x.terms
             columns = [[] for _ in range(width)]
             for r, (cols, elements) in enumerate(nonzero[b]):
                 for j, x in zip(cols, elements):
                     columns[j].append((r, x.terms))
             plan = plan_columns(self.ring, height, columns)
-            if any(terms for row in plan_term_rows(self.ring, first, [plan]) for terms in row):
+            if any(terms for col in plan_term_columns(self.ring, first, [plan]) for terms in col):
                 raise ValueError(f"boundaries {i} and {i + 1} do not compose to zero")
 
     def _shape(self, i: int) -> tuple[int, int]:

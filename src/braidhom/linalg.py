@@ -1,11 +1,11 @@
 """Exact-matrix helpers over a Laurent ring, and ranks over a field.
 
 Matrices are immutable tuples of tuples of GroupRingElement, checked for one
-ring once per matrix.  `mat_mul` compiles its right factor into a column plan
-and applies it (`ring.column_plan`, `ring.apply_column_plans`), the kernel that
-braid words and the braid relations use with cached plans and that chain
-complexes run on term maps for their composite check; the `apply_column_plans`
-docstring states the term order every product keeps.  Fraction-free inversion
+ring once per matrix.  `mat_mul` refuses ragged factors, compiles the right one
+into a column plan and applies it (`ring.column_plan`, `ring.apply_column_plans`),
+the kernel that braid words and the braid relations use with cached plans and
+that chain complexes run on term maps for their composite check; the
+`apply_column_plans` docstring states the term order every product keeps.  Fraction-free inversion
 sums each entry with `sum_of_products`; the tests keep it as the oracle of the
 braid layer's closed-form inverses.
 
@@ -25,8 +25,8 @@ from __future__ import annotations
 from math import gcd, isfinite, lcm
 
 from .ring import (CoefficientRing, GroupRingElement, Integers, IntegersModP, LaurentRing,
-                   Rationals, apply_column_plans, column_plan, exact_divide, specialize_matrix,
-                   sum_of_products)
+                   Rationals, apply_column_plans, column_plan, exact_divide, matrix_width,
+                   specialize_matrix, sum_of_products)
 
 Matrix = tuple[tuple[GroupRingElement, ...], ...]
 
@@ -56,9 +56,9 @@ def common_ring(ring: LaurentRing | None, *matrices: Matrix) -> LaurentRing | No
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    width = len(b[0]) if b else 0
-    if a and len(a[0]) != len(b):
-        raise ValueError(f"shape mismatch: {len(a)}x{len(a[0])} times {len(b)}x{width}")
+    inner, width = matrix_width(a), matrix_width(b)
+    if a and inner != len(b):
+        raise ValueError(f"shape mismatch: {len(a)}x{inner} times {len(b)}x{width}")
     common_ring(None, a, b)
     if not (a and width):  # no rows, or no columns: nothing to plan
         return tuple(() for _ in a)

@@ -12,14 +12,12 @@ with several terms, result exponents too).  Arithmetic is exact while exponents 
 within +-(2^63 - 1); `*` raises ValueError for a product that would leave that range,
 while the matrix kernels (`sum_of_products`, and the column plans that every matrix
 product goes through) trust their inputs and keep the term order stated in
-`apply_column_plans`.  A product with a one-term factor (most braid generator entries)
-is one shift and scale.  Over Z and Q a column plan lists only the columns its matrix
-changes, leaving out each column whose one nonzero is a 1 in its own row, and the
-kernel does their arithmetic with Python's operators inline.  Other modules see exponents as tuples (`coefficient`,
-`support`, `items`).  No code mutates an element's term map after construction,
-so elements and term maps are shared freely: `plan_term_rows` returns term maps
-of its input rows, and `linalg.identity` and the braid tables reuse one element
-for many entries.
+`apply_column_plans`.  A product with a one-term factor is one shift and scale.  The
+plan kernel holds a matrix by columns, as lists of term maps: it carries over the
+columns a plan leaves out and decides each entry's kind once per column, not per row;
+over Z and Q products and merges run with Python's operators inline.  Other modules
+see exponents as tuples (`coefficient`, `support`, `items`).  No code mutates an
+element's term map after construction, so elements and term maps are shared freely.
 
 Supported coefficient rings k: the integers, the rationals, the integers mod a
 prime, and tolerance-based complex floats.  One flag, `is_exact`, tells them
@@ -472,8 +470,8 @@ class GroupRingElement:
             if (e + offset) & spill:  # a coordinate beyond 2^61: check exactly
                 self.ring._check_product_range(self.terms, other.terms)
                 break
-        terms = _product(self.ring.coefficients, self.terms, other.terms)
-        return GroupRingElement(self.ring, terms)
+        k = self.ring.coefficients
+        return GroupRingElement(self.ring, _product(k, self.terms, other.terms, _native(k)))
 
     __rmul__ = __mul__
 
@@ -649,10 +647,11 @@ def _looks_numeric(chunk: str, k: CoefficientRing) -> bool:
         return False
 
 
-def _product(k: CoefficientRing, f: dict, g: dict) -> dict:
+def _product(k: CoefficientRing, f: dict, g: dict, native: bool = False) -> dict:
     """The term map of a product, a sum that reaches zero dropped as it does.
 
     Over an integral domain a one-term factor only shifts and scales the other.
+    `native` is `_native(k)`, decided by the caller: then Python's operators run inline.
     """
     mul = k.mul
     if k.is_exact and min(len(f), len(g)) == 1:
@@ -660,17 +659,20 @@ def _product(k: CoefficientRing, f: dict, g: dict) -> dict:
             f, g = g, f
         ((e1, c1),) = f.items()
         return {e1 + e2: mul(c1, c2) for e2, c2 in g.items()}
-    add, is_zero, zero = k.add, k.is_zero, k.zero
     terms: dict[int, object] = {}
     g_terms = g.items()
+    if not native:  # the same sums, one row of f's terms at a time
+        for e1, c1 in f.items():
+            _accumulate(k, terms, {e1 + e2: mul(c1, c2) for e2, c2 in g_terms})
+        return terms
     for e1, c1 in f.items():
         for e2, c2 in g_terms:
             e = e1 + e2
-            s = add(terms.get(e, zero), mul(c1, c2))
-            if is_zero(s):
-                terms.pop(e, None)
-            else:
+            s = terms.get(e, 0) + c1 * c2
+            if s:
                 terms[e] = s
+            else:
+                del terms[e]
     return terms
 
 
@@ -692,10 +694,11 @@ def sum_of_products(ring: LaurentRing, pairs) -> GroupRingElement:
     Products merge by the term-order rule of `apply_column_plans`.
     """
     k = ring.coefficients
+    native = _native(k)
     acc: dict[int, object] = {}
     for f, g in pairs:
         if f.terms and g.terms:
-            product = _product(k, f.terms, g.terms)
+            product = _product(k, f.terms, g.terms, native)
             acc = _accumulate(k, acc, product) if acc else product
     return GroupRingElement(ring, acc)
 
@@ -705,11 +708,19 @@ def _native(k: CoefficientRing) -> bool:
     return (k.add, k.mul, k.is_zero) == (operator.add, operator.mul, operator.not_)
 
 
+def matrix_width(matrix) -> int:
+    """The common length of the rows of `matrix`, 0 with no rows; ValueError if ragged."""
+    if len(widths := {len(row) for row in matrix} or {0}) > 1:
+        raise ValueError(f"ragged matrix: rows of lengths {sorted(widths)}")
+    return widths.pop()
+
+
 def column_plan(matrix) -> tuple:
     """Compile a matrix, with at least one row and column, for `apply_column_plans`.
 
-    The matrix's columns go to `plan_columns`, each as its nonzero entries.
+    The matrix's columns go to `plan_columns`, each as its nonzero entries (ValueError if ragged).
     """
+    matrix_width(matrix)
     columns = [[(i, x.terms) for i, x in enumerate(col) if x.terms] for col in zip(*matrix)]
     return plan_columns(matrix[0][0].ring, len(matrix), columns)
 
@@ -725,7 +736,7 @@ def plan_columns(ring: LaurentRing, height: int, columns: list) -> tuple:
     mul and is_zero are Python's operators, is a product with 1 a no-op and one
     of nonzero terms never zero: there the +-1 one-term entries are shifts, and
     a column whose one nonzero is a 1 in its own row is left out (the kernel
-    keeps that entry), both keeping the term order of `apply_column_plans`.
+    carries that column over), both keeping the term order of `apply_column_plans`.
     Over F_p (which reduces mod p) and complex-approx (where a product with 1
     turns a -0.0 imaginary part into 0.0) every column is listed, as products.
     """
@@ -745,86 +756,87 @@ def plan_columns(ring: LaurentRing, height: int, columns: list) -> tuple:
 def apply_column_plans(start, plans) -> tuple[tuple[GroupRingElement, ...], ...]:
     """The product of `start` (entries from one ring) with the planned matrices, in order.
 
-    The rows of `start` go through `plan_term_rows` as term maps.  Term order:
-    an entry's products arrive in ascending inner index, and a product that
-    lands on an empty accumulator becomes it (the rest merge by `_accumulate`).
-    So an entry has the terms, in dict order, of the ring operators' sum over
-    the inner index, which is what float specializations depend on.  Every
-    entry with no terms is one zero element, shared within the call.
+    `start` (ValueError if ragged) goes to `plan_term_columns` as columns of term maps.
+    Term order: an entry's products arrive in ascending inner index, and the first
+    nonempty one becomes its accumulator (the rest merge by `_accumulate`), so an
+    entry has the terms, in dict order, of the ring operators' sum, on which float
+    specializations depend.  An entry with no terms is a zero shared within the call.
     """
     ring = start[0][0].ring
-    rows = plan_term_rows(ring, [[x.terms for x in row] for row in start], plans)
+    matrix_width(start)
+    columns = plan_term_columns(ring, [[x.terms for x in col] for col in zip(*start)], plans)
     zero = GroupRingElement(ring, {})
     return tuple(tuple(GroupRingElement(ring, terms) if terms else zero for terms in row)
-                 for row in rows)
+                 for row in zip(*columns))
 
 
-def plan_term_rows(ring: LaurentRing, rows: list, plans) -> list:
-    """The kernel of `apply_column_plans`: `rows`, term maps of `ring`, times the plans.
+def plan_term_columns(ring: LaurentRing, columns: list, plans) -> list:
+    """The kernel of `apply_column_plans`: `columns` (at least one, each a list of term
+    maps of `ring`, one per row) times the plans; returns the product's columns.
 
-    Each output row starts as its input row, cut or padded with empty maps to
-    the plan's width, and only the listed columns are written: each sums its
-    entries' products, the row's term map shifted (and negated, for -1) by a
-    shift entry or multiplied by a full product's term map.  Over Z and Q the
-    products and merges run `_product`'s and `_accumulate`'s loops inline with
-    Python's operators, so a shift merges by adding or subtracting, with no
-    product; over F_p and complex-approx they call `_product` and
-    `_accumulate`.  The rows (at least one) are replaced in place and
-    returned; an entry of the result may be a term map of `rows`.
+    A column the plan leaves out is carried over as the same list.  A listed one is
+    built entry by entry: an entry's kind (+-x^shift, or a product by `_product`) is
+    decided once, then one loop runs down its source column.  The first entry lands
+    in one comprehension; a later one lands on empty accumulators and merges into
+    the rest in place (inline over Z and Q, else by `_accumulate`).  Result maps may
+    be maps of `columns`.
     """
     k = ring.coefficients
     native = _native(k)
-    for plan_ring, height, width, columns in plans:
+    for plan_ring, height, width, planned in plans:
         if plan_ring is not ring and plan_ring != ring:
             raise ValueError(f"ring context mismatch: {ring} vs {plan_ring}")
-        if height != len(rows[0]):
-            raise ValueError(f"shape mismatch: {len(rows[0])} columns times {height} rows")
-        pad = [{}] * (width - height)
-        for r, row in enumerate(rows):
-            out = row[:width] + pad
-            for j, col in columns:
-                acc = {}
-                for i, shift, c, g in col:
-                    f = row[i]
-                    if not f:
-                        continue
-                    if g is not None:
-                        if not native:
+        if height != len(columns):
+            raise ValueError(f"shape mismatch: {len(columns)} columns times {height} rows")
+        empty = [{}] * len(columns[0])
+        out = columns[:width] + [empty] * (width - height)
+        for j, entries in planned:
+            out[j] = acc = empty
+            for i, shift, c, g in entries:
+                src = columns[i]
+                if acc is empty:  # the first entry
+                    out[j] = acc = (
+                        [_product(k, f, g, native) if f else f for f in src] if g is not None
+                        else [f.copy() if f else f for f in src] if c == 1 and not shift
+                        else [{e + shift: v for e, v in f.items()} if f else f for f in src]
+                        if c == 1 else
+                        [{e + shift: -v for e, v in f.items()} if f else f for f in src])
+                elif g is not None and not native:
+                    for r, f in enumerate(src):
+                        if f:
                             product = _product(k, f, g)
-                            acc = _accumulate(k, acc, product) if acc else product
-                            continue
-                        product, f = f, {}
-                        for e1, c1 in product.items():
-                            for e2, c2 in g.items():
-                                e = e1 + e2
-                                s = f.get(e, 0) + c1 * c2
+                            acc[r] = _accumulate(k, acc[r], product) if acc[r] else product
+                elif g is not None or c == 1 and not shift:  # over Z and Q: a product, or 1
+                    if g is not None:
+                        src = [_product(k, f, g, True) if f else f for f in src]
+                    for r, f in enumerate(src):
+                        if f:
+                            a = acc[r]
+                            if not a:
+                                acc[r] = f.copy()
+                                continue
+                            for e, v in f.items():
+                                s = a.get(e, 0) + v
                                 if s:
-                                    f[e] = s
+                                    a[e] = s
                                 else:
-                                    del f[e]
-                    if not acc:
-                        acc = (f if g is not None else dict(f) if c == 1 and not shift else
-                               {e + shift: v for e, v in f.items()} if c == 1 else
-                               {e + shift: -v for e, v in f.items()})
-                    elif c == -1:
-                        for e, v in f.items():
-                            e += shift
-                            s = acc.get(e, 0) - v
-                            if s:
-                                acc[e] = s
-                            else:
-                                del acc[e]
-                    else:
-                        for e, v in f.items():
-                            e += shift
-                            s = acc.get(e, 0) + v
-                            if s:
-                                acc[e] = s
-                            else:
-                                del acc[e]
-                out[j] = acc
-            rows[r] = out
-    return rows
+                                    del a[e]
+                else:  # a shift by +-x^shift
+                    for r, f in enumerate(src):
+                        if f:
+                            a = acc[r]
+                            if not a:
+                                acc[r] = {e + shift: c * v for e, v in f.items()}
+                                continue
+                            for e, v in f.items():
+                                e += shift
+                                s = a.get(e, 0) + c * v
+                                if s:
+                                    a[e] = s
+                                else:
+                                    del a[e]
+        columns = out
+    return columns
 
 
 POWER_BITS_BUDGET = 10**6  # bits of an exact power value^e, estimated before computing it

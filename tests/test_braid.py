@@ -96,6 +96,13 @@ def test_braid_word_validation_and_ops():
         word * BraidWord(4, (1,))
 
 
+@pytest.mark.parametrize("letters", [(1.5,), (2.0,), (1, "2"), (None,)])
+def test_braid_word_refuses_letters_that_are_not_integers(letters):
+    # int() would have read 1.5 as the letter 1 and 2.0 as 2.
+    with pytest.raises(ValueError, match=r"^letter .* out of range for n=3$"):
+        BraidWord(3, letters)
+
+
 def _term_lists(matrix):
     # Dict order matters: specialize sums terms in it, so float output depends on it.
     return [[list(e.terms.items()) for e in row] for row in matrix]

@@ -410,6 +410,29 @@ def test_rep_complex_specialization_keeps_its_term_order_for_more_strands(capsys
     assert hashlib.md5(out.encode()).hexdigest() == digest
 
 
+# Words of the lengths `words-warm` times: two LKB words and a Burau word.
+FROZEN_LONG_COMPLEX_REP_MD5 = [
+    (6, 2, "5,1,2,3,5,2,5,-3,1,-1,-2,3,1,1,1,-5,1,4,1,4", "x=0.3+0.1j,d=0.7",
+     "697bbc05129fc7c5d46cc2bce8777eac"),
+    (5, 2, "2,-3,4,-2,2,1,4,-3,4,-1,2,-1,2,4,-1,-1,-2,-1", "x=0.3+0.1j,d=0.7",
+     "a1fca5cdb62d96fb9088e4d7d754c615"),
+    (10, 1, "-2,-1,1,-2,-6,-4,-2,9,-5,4,-6,-2,2,4,-5,-6,-7,-5,-6,4,-4,-6,8,-7,2,5,3,1,-5,1,"
+     "6,-4,1,-3,-6,4,-9,-1,8,7,-4,-2,-8,-9,-5,-6,5,-7,-1,-4,6,9,-1,-6,2,-6,-3,-8,-2,-4,-6,9,"
+     "2,3,-2,-1,-9,-7,6,-3,-6,9,-4,1,7,2,-9,1,7,-3,6,4,-6,-5,-6,-9,7,-9,-7,-7,-9,1,-7,8,2,3,"
+     "-1,6,9,9", "x=0.3+0.1j", "45b5cc85a6584ab0a3314bdf0e9c035d"),
+]
+
+
+@pytest.mark.parametrize("n, m, word, point, digest", FROZEN_LONG_COMPLEX_REP_MD5)
+def test_rep_complex_specialization_keeps_its_term_order_for_long_words(capsys, n, m, word,
+                                                                       point, digest):
+    assert len(word.split(",")) == {(6, 2): 20, (5, 2): 18, (10, 1): 100}[n, m]
+    code, out, _ = run(capsys, "rep", "--n", str(n), "--m", str(m), f"--word={word}",
+                       "--specialize", point)
+    assert code == 0
+    assert hashlib.md5(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("argv", [
     ("rep", "--n", "3", "--m", "2", "--word=1", "--specialize", "x=1e200+1j,d=1e200"),
     ("embed", "--surface", "0,2,0", "--m", "3", "--specialize", "u=1e200+1j"),

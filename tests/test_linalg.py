@@ -301,6 +301,23 @@ def test_column_plans_refuse_other_rings_and_shapes():
         apply_column_plans(identity(ZZ, 2), [column_plan(identity(other, 2))])
 
 
+def test_ragged_factors_are_refused():
+    u = ZZ.var("x")
+    square, ragged = as_matrix([[u, u], [u, u]]), as_matrix([[u], [u, u]])
+    calls = [
+        lambda: mat_mul(as_matrix([[u, u]]), ragged),  # was a 1x1 product
+        lambda: mat_mul(ragged, square),
+        lambda: mat_mul((), ragged),
+        lambda: mat_mul(as_matrix([[u, u]]), as_matrix([[], [u]])),
+        lambda: apply_column_plans(ragged, [column_plan(square)]),
+        lambda: apply_column_plans(square, [column_plan(ragged)]),
+        lambda: column_plan(as_matrix([[u, u], [u]])),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^ragged matrix: rows of lengths \[\d, \d\]$"):
+            call()
+
+
 @pytest.mark.parametrize("ring", [ZZ, CC])
 def test_mat_mul_with_no_columns_gives_empty_rows(ring):
     a = as_matrix([[ring.one, ring.var("x")], [ring.zero, ring.one]])
