@@ -20,15 +20,15 @@ visits only those entries, with the values and verdicts of a pass over every
 entry.  Over R a composite is decided on term maps: the first factor's
 nonzero rows are laid out by columns, as `ring.plan_term_columns` (the kernel
 of every matrix product) takes them, with no transpose, and go through the
-column plan of the second factor, built from its entries (`ring.plan_columns`);
-the check asks only whether any result is non-empty, building no ring element.  `homology_ranks_at` specializes the nonzero
-entries of every boundary in one `specialize_matrix` call per complex, on the
-ragged rows in boundary order, so the boundaries share its powers and its
-values of one-term entries, and the first power past the work budget is
-refused as it was boundary by boundary.  It pairs each nonzero value with its
-column; the float composite check (each composite entry a running sum of its
-products, relative to the largest entries) and `linalg.rank` read these
-{column: value} rows.
+plan of the second factor, built from its entries (`ring.plan_columns`); the
+check asks only whether any result is non-empty, building no ring element.
+`homology_ranks_at` specializes the nonzero entries of every boundary in one
+`specialize_matrix` call per complex, on the ragged rows in boundary order, so
+the boundaries share its powers and its values of one-term entries, and the
+first power past the work budget is refused as it was boundary by boundary.
+It pairs each nonzero value with its column; the float composite check (each
+composite entry a running sum of its products, relative to the largest
+entries) and `linalg.rank` read these {column: value} rows.
 """
 
 from __future__ import annotations

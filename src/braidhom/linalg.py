@@ -5,9 +5,9 @@ ring once per matrix.  `mat_mul` refuses ragged factors, compiles the right one
 into a column plan and applies it (`ring.column_plan`, `ring.apply_column_plans`),
 the kernel that braid words and the braid relations use with cached plans and
 that chain complexes run on term maps for their composite check; the
-`apply_column_plans` docstring states the term order every product keeps.  Fraction-free inversion
-sums each entry with `sum_of_products`; the tests keep it as the oracle of the
-braid layer's closed-form inverses.
+`apply_column_plans` docstring states the term order every product keeps.
+Fraction-free inversion sums each entry with `sum_of_products`; the tests keep
+it as the oracle of the braid layer's closed-form inverses.
 
 `specialize_matrix` is `ring.specialize_matrix` itself, whose docstring states
 the order of float operations: it evaluates a matrix at a point in one pass,
