@@ -21,8 +21,9 @@ p_r = |stride| * len(pattern).  Over the integers, the rationals, and F_p
 with p dividing no ray period of the line, it vanishes exactly when its
 residue at every root of unity of order d dividing some p_r does: one check
 modulo the cyclotomic polynomial Phi_d per such d.  That costs about
-(pattern entries) * 2^(primes of d) ring operations per d, whatever the
-least common multiple of the periods.  Under complex-approx coefficients, or
+(pattern entries) * 2^(primes of d) additions of Python numbers per d,
+whatever the least common multiple of the periods, and each period is
+factored once per process (memoized).  Under complex-approx coefficients, or
 over F_p with p dividing a period, roots of unity do not separate the
 tails, and a scan evaluates one full period of each instead: 2 * lcm(p_r) *
 rays coefficient lookups, refused with ValueError past SCAN_BUDGET.
@@ -30,6 +31,7 @@ rays coefficient lookups, refused with ValueError past SCAN_BUDGET.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import chain
 from math import gcd, isqrt, lcm
 
@@ -196,13 +198,10 @@ def _progression_index(g, base, step):
 
 def _primitive(step):
     """step = multiplier * unit with unit primitive and lex-positive."""
-    g = gcd(*(abs(v) for v in step))
-    unit = tuple(v // g for v in step)
-    lead = next(v for v in unit if v != 0)
-    if lead < 0:
-        unit = tuple(-v for v in unit)
+    g = gcd(*step)
+    if next(filter(None, step)) < 0:
         g = -g
-    return unit, g
+    return tuple([v // g for v in step]), g
 
 
 @value_class
@@ -241,9 +240,9 @@ def _lines(c: CompletedElement) -> list[_Line]:
     grouped: dict[tuple, list] = {}
     for ray in c.rays:
         unit, multiplier = _primitive(ray.step)
-        pivot = next(j for j, v in enumerate(unit) if v != 0)
+        pivot = unit.index(next(filter(None, unit)))
         shift = ray.base[pivot] // unit[pivot]
-        anchor = tuple(b - shift * u for b, u in zip(ray.base, unit))
+        anchor = tuple([b - shift * u for b, u in zip(ray.base, unit)])
         key = (unit, anchor)
         grouped.setdefault(key, []).append((shift, multiplier, ray.pattern, ray.direction))
     return [
@@ -270,15 +269,17 @@ def is_in_group_ring(c: CompletedElement) -> bool:
 
 def _line_vanishes(k, line: _Line) -> bool:
     modulus = k.p if isinstance(k, IntegersModP) else None
-    if not k.is_exact or (modulus and any(abs(stride) * len(pattern) % modulus == 0
-                                          for _, stride, pattern, _ in line.rays)):
+    periods = {abs(stride) * len(pattern) for _, stride, pattern, _ in line.rays}
+    if not k.is_exact or (modulus and any(period % modulus == 0 for period in periods)):
         return _scan_vanishes(k, line)
+    divisors = {period: _period_divisors(period) for period in periods}
     # negating every position turns the lower tail into an upper one
     lower = tuple((-offset, -stride, pattern, d) for offset, stride, pattern, d in line.rays)
-    return _tail_vanishes(k, line.rays) and _tail_vanishes(k, lower)
+    return (_tail_vanishes(line.rays, modulus, divisors)
+            and _tail_vanishes(lower, modulus, divisors))
 
 
-def _tail_vanishes(k, rays) -> bool:
+def _tail_vanishes(rays, modulus, divisors) -> bool:
     """Whether the rays sum to zero at every position above their largest offset.
 
     The rays reaching that tail are the "bi" ones and the "fwd" ones with
@@ -294,10 +295,15 @@ def _tail_vanishes(k, rays) -> bool:
     p_r.  Phi_d divides V_d exactly when x^d - 1 divides V_d times the
     product of x^(d/q) - 1 over the primes q dividing d, as x^d - 1 is the
     product of the coprime Phi_e over e | d and that product has every
-    Phi_e with e < d as a factor and shares no root with Phi_d.  So each d
-    costs (terms of V_d) * 2^(primes of d) ring operations, with no
-    polynomial division; factoring the periods is the only step that grows
-    with their size.
+    Phi_e with e < d as a factor and shares no root with Phi_d.
+
+    The arithmetic is on Python numbers: pattern values as stored (ints over
+    Z and F_p, ints or Fractions over Q), weights M / p_r as ints, and `+`,
+    `-` and `*` inline.  Over F_p (`modulus` p) a coefficient is reduced mod
+    p only where it is tested for zero, which is sound because Z -> F_p is a
+    ring map.  So each d costs (terms of V_d) * 2^(primes of d) additions,
+    with no polynomial division.  `divisors` maps each p_r to its memoized
+    `_period_divisors(p_r)`, looked up once per line for both tails.
     """
     start = max(offset for offset, _, _, _ in rays) + 1
     # every position of a "fwd" ray with negative stride is at or below its offset
@@ -305,56 +311,49 @@ def _tail_vanishes(k, rays) -> bool:
                 if direction == "bi" or stride > 0]
     if not reaching:
         return True
-    whole = lcm(*(abs(stride) * len(pattern) for _, stride, pattern in reaching))
+    whole = lcm(*[abs(stride) * len(pattern) for _, stride, pattern in reaching])
     # d -> (primes dividing d, {exponent mod d: coefficient of V_d})
-    residues: dict[int, tuple[list[int], dict]] = {}
+    residues: dict[int, tuple[tuple[int, ...], dict]] = {}
     for offset, stride, pattern in reaching:
-        step = abs(stride)
-        period = step * len(pattern)
-        primes = _prime_factors(period)
-        weight = k.coerce(whole // period)
+        step, length = abs(stride), len(pattern)
+        period = step * length
+        weight = whole // period
         first = start + (offset - start) % step
-        values = [
-            (position - start,
-             k.mul(weight, k.coerce(pattern[(position - offset) // stride % len(pattern)])))
-            for position in range(first, start + period, step)
-        ]
-        for d in _divisors(period):
-            if d not in residues:
-                residues[d] = ([q for q in primes if d % q == 0], {})
-            residue = residues[d][1]
+        values = [(position - start, weight * pattern[(position - offset) // stride % length])
+                  for position in range(first, start + period, step)]
+        for d, primes in divisors[period]:
+            residue = residues.setdefault(d, (primes, {}))[1]
             for u, v in values:
-                residue[u % d] = k.add(residue.get(u % d, k.zero), v)
+                u %= d
+                residue[u] = residue.get(u, 0) + v
     for d, (primes, residue) in sorted(residues.items()):
         for q in primes:  # times x^(d/q) - 1, modulo x^d - 1
-            shifted = {u: k.neg(v) for u, v in residue.items()}
+            shift = d // q
+            shifted = {u: -v for u, v in residue.items()}
             for u, v in residue.items():
-                w = (u + d // q) % d
-                shifted[w] = k.add(shifted.get(w, k.zero), v)
+                u = (u + shift) % d
+                shifted[u] = shifted.get(u, 0) + v
             residue = shifted
-        if not all(k.is_zero(v) for v in residue.values()):
+        if any(v % modulus for v in residue.values()) if modulus else any(residue.values()):
             return False
     return True
 
 
-def _prime_factors(n: int) -> list[int]:
-    """The distinct primes dividing n >= 1, by trial division."""
-    primes, q = [], 2
-    while q * q <= n:
-        if n % q == 0:
+@lru_cache(maxsize=64)  # a period near 2^31 can have 1,344 divisors
+def _period_divisors(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The divisors d of n >= 1, in increasing order, each with the primes dividing d."""
+    primes, m, q = [], n, 2
+    while q * q <= m:  # trial division
+        if m % q == 0:
             primes.append(q)
-            while n % q == 0:
-                n //= q
+            while m % q == 0:
+                m //= q
         q += 1
-    if n > 1:
-        primes.append(n)
-    return primes
-
-
-def _divisors(n: int) -> list[int]:
-    """The divisors of n >= 1."""
+    if m > 1:
+        primes.append(m)
     small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
-    return [*small, *(n // d for d in reversed(small) if d * d != n)]
+    divisors = [*small, *[n // d for d in reversed(small) if d * d != n]]
+    return tuple([(d, tuple([q for q in primes if d % q == 0])) for d in divisors])
 
 
 SCAN_BUDGET = 10**7

@@ -141,7 +141,8 @@ def rank(rows: list, k: CoefficientRing) -> int:
     A row is a sequence of entries, each coerced into k and dropped when it is
     zero, or a map from column to entry that holds only nonzero values of k,
     which is copied with no coercion; it gives the rank its sequence would.
-    `homology_ranks_at` passes maps.
+    `homology_ranks_at` passes maps.  Sequence rows of different lengths
+    raise ValueError.
 
     Each step takes a pivot, clears its column from the rows still in play
     and drops the pivot's row and column.  Exact fields pivot on the first
@@ -167,6 +168,8 @@ def rank(rows: list, k: CoefficientRing) -> int:
     it at most in the sign of a zero part, which neither `abs` nor
     `k.is_zero` sees: every pivot, and so the rank, is the same.
     """
+    if set(map(type, rows)) - {dict}:  # one pass in C when every row is a map
+        matrix_width([row for row in rows if not isinstance(row, dict)])
     if isinstance(k, Integers):
         k = Rationals()
     p, exact = (k.p if isinstance(k, IntegersModP) else 0), k.is_exact

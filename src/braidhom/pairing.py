@@ -63,9 +63,12 @@ class PairingMatrix:
 def delta_pairing(triad: SurfaceTriad, side: str, ring: LaurentRing | None = None) -> PairingMatrix:
     """The pairing of the locally finite basis against the relative basis.
 
-    Non-degeneracy in its sharpest form: the matrix is the identity.  More
-    than MAX_ENTRIES = 10^7 entries is a ValueError before anything is built.
+    Non-degeneracy in its sharpest form: the matrix is the identity.  A side
+    outside SIDES, or more than MAX_ENTRIES = 10^7 entries, is a ValueError
+    before anything is built.
     """
+    if side not in SIDES:
+        raise ValueError(f"side must be one of {SIDES}, got {side!r}")
     d = _dimension_within_bound(triad)
     if ring is None:
         from .surfaces import standard_local_system

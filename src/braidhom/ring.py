@@ -621,9 +621,11 @@ def _parse_element(ring: LaurentRing, text: str) -> GroupRingElement:
             factor = factor.strip()
             if not factor:
                 raise ValueError(f"cannot parse term {chunk!r}")
-            name, _, power = factor.partition("^")
+            name, caret, power = factor.partition("^")
             if name in ring.variables:
-                exps[ring.variables.index(name)] += int(power) if power else 1
+                if caret and not power:
+                    raise ValueError(f"cannot parse term {chunk!r}: '^' without an exponent")
+                exps[ring.variables.index(name)] += int(power) if caret else 1
             elif coeff is None:
                 coeff = k.from_str(factor)
             else:

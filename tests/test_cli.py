@@ -272,6 +272,17 @@ def test_homology_exponent_beyond_the_bound_is_one_error_line(tmp_path, capsys):
     assert "2147483647" in err
 
 
+def test_homology_entry_with_a_caret_and_no_exponent_is_one_error_line(tmp_path, capsys):
+    # "x^" was read as x, so this complex exited 0
+    path = tmp_path / "caret.json"
+    path.write_text(json.dumps({"schema": 1, "variables": ["x"], "ranks": [1, 1],
+                                "boundaries": [[["x^ - 1"]]]}))
+    code, out, err = run(capsys, "homology", "--complex", str(path), "--at", "x=2")
+    assert code == 1
+    assert out == ""
+    assert err == "error: cannot parse term 'x^': '^' without an exponent\n"
+
+
 @pytest.mark.parametrize("at", ["x=1/3", "x=0.7648+0.6442j"])
 def test_homology_power_past_the_work_budget_is_one_error_line(tmp_path, capsys, at):
     path = tmp_path / "big.json"

@@ -327,18 +327,21 @@ def _scan_verdict(c):
 
 
 @st.composite
-def _ray_family(draw):
+def _ray_family(draw, values=st.integers(-3, 3), line=None, cancel=False):
     """A ray, and partners that cancel it or nearly do, all on one line.
 
     Partners are shifted by whole periods or by part of one, with the
     pattern rotated to match or not, split into two rays of twice the
     stride, or glued from a "fwd" ray each way and a "bi" one; strides 5 and
-    7 make F_5 and F_7 fall back to the scan.
+    7 make F_5 and F_7 fall back to the scan.  `line` is a (unit, anchor)
+    pair, drawn when not given; pattern entries are drawn from `values`.
+    With `cancel`, one partner shifted by whole periods or split makes the
+    family a member.
     """
-    unit = draw(st.sampled_from(UNITS))
-    anchor = draw(st.sampled_from(((0, 0), (0, 1), (3, -2))))
+    unit, anchor = line or (draw(st.sampled_from(UNITS)),
+                            draw(st.sampled_from(((0, 0), (0, 1), (3, -2)))))
     stride = draw(st.sampled_from((1, 2, 3, 5, 7))) * draw(st.sampled_from((1, -1)))
-    pattern = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3))
+    pattern = draw(st.lists(values, min_size=1, max_size=3))
     direction = draw(st.sampled_from(RAY_DIRECTIONS))
     length = len(pattern)
 
@@ -348,8 +351,8 @@ def _ray_family(draw):
 
     offset = draw(st.integers(-4, 4))
     rays = [ray(offset, stride, pattern)]
-    kinds = ("whole", "part", "unrotated", "split", "glued")
-    for how in draw(st.lists(st.sampled_from(kinds), max_size=2)):
+    kinds = ("whole", "split") if cancel else ("whole", "part", "unrotated", "split", "glued")
+    for how in draw(st.lists(st.sampled_from(kinds), min_size=cancel, max_size=2 - cancel)):
         j = draw(st.integers(-3, 3))
         if how == "whole":
             rays.append(ray(offset + j * length * stride, stride, [-v for v in pattern]))
@@ -368,7 +371,7 @@ def _ray_family(draw):
             rays.append(ray(offset - stride, -stride, backwards, "fwd"))
             rays.append(ray(offset, stride, [-sign * v for v in pattern],
                             "fwd" if direction == "bi" else "bi"))
-    if draw(st.booleans()):  # perturb one coefficient
+    if not cancel and draw(st.booleans()):  # perturb one coefficient
         last = rays[-1]
         rays[-1] = Ray(last.base, last.step, (last.pattern[0] + 1,) + last.pattern[1:],
                        direction)
@@ -383,6 +386,35 @@ def test_residue_test_agrees_with_the_scan(k, families):
     elements.append(CompletedElement(ring, ring.one, tuple(r for rays in families for r in rays)))
     for c in elements:
         assert is_in_group_ring(c) == _scan_verdict(c)
+
+
+# one line per (unit, anchor) pair: no two of these anchors share a line along any unit
+LINES = tuple((unit, anchor) for unit in UNITS for anchor in ((0, 0), (1, 3), (3, -2)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_residue_test_on_stored_values_agrees_with_the_scan(data):
+    """Fraction patterns over Q, and over F_p entries stored outside [0, p), on 2-3 lines.
+
+    The residue test sums pattern entries as stored and reduces mod p only at
+    its zero tests; the scan coerces every entry first.
+    """
+    k = data.draw(st.sampled_from((Rationals(), IntegersModP(5), IntegersModP(7))))
+    rational = isinstance(k, Rationals)
+    values = st.fractions(-3, 3, max_denominator=4) if rational else st.integers(-3, 3)
+    lines = data.draw(st.lists(st.sampled_from(LINES), min_size=2, max_size=3, unique=True))
+    members = data.draw(st.booleans())  # every line a member, or all but the last one
+    rays = [ray for i, line in enumerate(lines)
+            for ray in data.draw(_ray_family(values, line, members or i < len(lines) - 1))]
+    if not rational:  # the same element, each entry moved by a multiple of p
+        lift = st.integers(-3, 3).map(lambda j: j * k.p)
+        rays = [Ray(r.base, r.step, tuple(v + data.draw(lift) for v in r.pattern), r.direction)
+                for r in rays]
+    ring = LaurentRing(2, k, ("y", "z"))
+    c = CompletedElement(ring, ring.zero, tuple(rays))
+    assert len(completion._lines(c)) == len(lines)
+    assert is_in_group_ring(c) == _scan_verdict(c)
 
 
 def _prime_stride_rays(perturb: bool):

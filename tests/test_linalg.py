@@ -318,6 +318,15 @@ def test_ragged_factors_are_refused():
             call()
 
 
+@pytest.mark.parametrize("k", [Integers(), Rationals(), IntegersModP(7), ComplexApprox()])
+def test_rank_refuses_ragged_sequence_rows(k):
+    for rows in ([[1, 2], [3]], [[1], [0, 1], [1]], [[], [1]]):  # the first had rank 2
+        with pytest.raises(ValueError, match=r"^ragged matrix: rows of lengths \[\d, \d\]$"):
+            rank(rows, k)
+    # map rows name their columns, so they mix with sequences of any one length
+    assert rank([{0: k.one}, [0, 0, 1], {5: k.one}], k) == 3
+
+
 @pytest.mark.parametrize("ring", [ZZ, CC])
 def test_mat_mul_with_no_columns_gives_empty_rows(ring):
     a = as_matrix([[ring.one, ring.var("x")], [ring.zero, ring.one]])

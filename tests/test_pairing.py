@@ -1,6 +1,7 @@
 """Tests for the pairings between homology bases."""
 
 import random
+import re
 from itertools import permutations
 
 import pytest
@@ -35,6 +36,14 @@ def test_delta_pairing_is_the_identity():
             for j in range(d):
                 expected = ring.one if i == j else ring.zero
                 assert matrix.entries[i][j] == expected
+
+
+def test_delta_pairing_refuses_an_unknown_side():
+    # the CLI's choices hide this; the function returned an identity matrix
+    for side in ("sideways", "", "IN"):
+        message = f"side must be one of ('in', 'out'), got {side!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            delta_pairing(SurfaceTriad(0, 3, 0, 2), side)
 
 
 def test_delta_pairing_evaluates_coordinates():

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import time
 from fractions import Fraction
 from itertools import permutations
@@ -272,6 +273,13 @@ def test_canonical_text_round_trip():
         assert ZZ.parse(a.to_text()) == a
     assert ZZ.zero.to_text() == "0"
     assert (ZZ.var("x") ** -1 * ZZ.var("d") ** 3 * -2 + 1).to_text() == "-2*x^-1*d^3 + 1"
+
+
+@pytest.mark.parametrize("text, term", [("x^", "x^"), ("2*d^ + 1", "2*d^"), ("1 - x^*d", "x^*d")])
+def test_a_caret_without_an_exponent_is_refused(text, term):
+    with pytest.raises(ValueError, match=re.escape(f"cannot parse term {term!r}")):
+        ZZ.parse(text)
+    assert ZZ.parse("x^1") == ZZ.parse("x") == ZZ.var("x")
 
 
 def test_json_terms_round_trip():
