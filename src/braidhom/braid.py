@@ -98,7 +98,7 @@ import functools
 from . import linalg
 from .compositions import compositions, count
 from .ring import GroupRingElement, apply_column_plans, column_plan, exact_divide
-from .surfaces import SIDES, SurfaceTriad, standard_local_system
+from .surfaces import SurfaceTriad, check_side, standard_local_system
 from .values import value_class
 
 __all__ = [
@@ -298,8 +298,7 @@ def dual_representation(word: BraidWord, m: int, side: str = "in") -> RepMatrix:
     labels which half of the pairing carries rho and is recorded in the
     convention tag.
     """
-    if side not in SIDES:
-        raise ValueError(f"side must be one of {SIDES}, got {side!r}")
+    check_side(side)
     base = evaluate_word(word.inverse(), m)
     entries = linalg.transpose(linalg.mat_alpha(base.entries))
     return RepMatrix(word.n, m, entries, f"{_TAGS[m]}/dual-{side}")

@@ -22,22 +22,22 @@ with p dividing no ray period of the line, it vanishes exactly when its
 residue at every root of unity of order d dividing some p_r does: one check
 modulo the cyclotomic polynomial Phi_d per such d.  That costs about
 (pattern entries) * 2^(primes of d) additions of Python numbers per d,
-whatever the least common multiple of the periods, and each period is
-factored once per process (memoized).  Under complex-approx coefficients, or
-over F_p with p dividing a period, roots of unity do not separate the
-tails, and a scan evaluates one full period of each instead: 2 * lcm(p_r) *
-rays coefficient lookups, refused with ValueError past SCAN_BUDGET.
+whatever the least common multiple of the periods, and each period of a
+line is factored at most once, when a tail first needs it.  Under
+complex-approx coefficients, or over F_p with p dividing a period, roots of
+unity do not separate the tails, and a scan evaluates one full period of
+each instead: 2 * lcm(p_r) * rays coefficient lookups, refused with
+ValueError past SCAN_BUDGET.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import chain
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
 from .compositions import compositions
 from .ring import EXPONENT_BOUND, GroupRingElement, Integers, IntegersModP, LaurentRing
-from .surfaces import SIDES, SurfaceTriad, dimension
+from .surfaces import SurfaceTriad, check_side, dimension
 from .values import value_class
 
 RAY_DIRECTIONS = ("fwd", "bi")
@@ -269,10 +269,10 @@ def is_in_group_ring(c: CompletedElement) -> bool:
 
 def _line_vanishes(k, line: _Line) -> bool:
     modulus = k.p if isinstance(k, IntegersModP) else None
-    periods = {abs(stride) * len(pattern) for _, stride, pattern, _ in line.rays}
-    if not k.is_exact or (modulus and any(period % modulus == 0 for period in periods)):
+    if not k.is_exact or (modulus and any(abs(stride) * len(pattern) % modulus == 0
+                                          for _, stride, pattern, _ in line.rays)):
         return _scan_vanishes(k, line)
-    divisors = {period: _period_divisors(period) for period in periods}
+    divisors: dict[int, list] = {}  # period -> _period_divisors(period), filled on first use
     # negating every position turns the lower tail into an upper one
     lower = tuple((-offset, -stride, pattern, d) for offset, stride, pattern, d in line.rays)
     return (_tail_vanishes(line.rays, modulus, divisors)
@@ -302,10 +302,11 @@ def _tail_vanishes(rays, modulus, divisors) -> bool:
     `-` and `*` inline.  Over F_p (`modulus` p) a coefficient is reduced mod
     p only where it is tested for zero, which is sound because Z -> F_p is a
     ring map.  So each d costs (terms of V_d) * 2^(primes of d) additions,
-    with no polynomial division.  `divisors` maps each p_r to its memoized
-    `_period_divisors(p_r)`, looked up once per line for both tails.
+    with no polynomial division.  `divisors`, shared by the line's two tails,
+    maps each p_r to `_period_divisors(p_r)` and is filled on first use: a
+    period is factored once per line, and only if a tail reaching it runs.
     """
-    start = max(offset for offset, _, _, _ in rays) + 1
+    start = max([offset for offset, _, _, _ in rays]) + 1
     # every position of a "fwd" ray with negative stride is at or below its offset
     reaching = [(offset, stride, pattern) for offset, stride, pattern, direction in rays
                 if direction == "bi" or stride > 0]
@@ -321,12 +322,14 @@ def _tail_vanishes(rays, modulus, divisors) -> bool:
         first = start + (offset - start) % step
         values = [(position - start, weight * pattern[(position - offset) // stride % length])
                   for position in range(first, start + period, step)]
+        if period not in divisors:
+            divisors[period] = _period_divisors(period)
         for d, primes in divisors[period]:
             residue = residues.setdefault(d, (primes, {}))[1]
             for u, v in values:
                 u %= d
                 residue[u] = residue.get(u, 0) + v
-    for d, (primes, residue) in sorted(residues.items()):
+    for d, (primes, residue) in residues.items():
         for q in primes:  # times x^(d/q) - 1, modulo x^d - 1
             shift = d // q
             shifted = {u: -v for u, v in residue.items()}
@@ -339,21 +342,20 @@ def _tail_vanishes(rays, modulus, divisors) -> bool:
     return True
 
 
-@lru_cache(maxsize=64)  # a period near 2^31 can have 1,344 divisors
-def _period_divisors(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """The divisors d of n >= 1, in increasing order, each with the primes dividing d."""
-    primes, m, q = [], n, 2
-    while q * q <= m:  # trial division
-        if m % q == 0:
-            primes.append(q)
-            while m % q == 0:
-                m //= q
+def _period_divisors(n: int) -> list[tuple[int, tuple[int, ...]]]:
+    """The divisors d of n >= 1, each with the primes dividing d, by trial division."""
+    divisors, q = [(1, ())], 2
+    while n > 1:
+        if q * q > n:
+            q = n  # what is left is prime
+        if n % q == 0:
+            powers = []
+            while n % q == 0:
+                n //= q
+                powers.append(q ** (len(powers) + 1))
+            divisors += [(d * p, primes + (q,)) for d, primes in divisors for p in powers]
         q += 1
-    if m > 1:
-        primes.append(m)
-    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
-    divisors = [*small, *[n // d for d in reversed(small) if d * d != n]]
-    return tuple([(d, tuple([q for q in primes if d % q == 0])) for d in divisors])
+    return divisors
 
 
 SCAN_BUDGET = 10**7
@@ -441,8 +443,7 @@ class CompletedVector:
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))
-        if self.side not in SIDES:
-            raise ValueError(f"side must be one of {SIDES}")
+        check_side(self.side)
         if len(self.entries) != dimension(self.triad):
             raise ValueError(
                 f"expected {dimension(self.triad)} coordinates, got {len(self.entries)}"

@@ -29,8 +29,8 @@ from itertools import combinations, permutations
 
 from .linalg import Matrix, identity
 from .ring import GroupRingElement, LaurentRing, quantum_factorial_product
-from .surfaces import (SIDES, BasisClass, LocalSystem, SurfaceTriad, basis, check_homogeneity,
-                       dimension)
+from .surfaces import (BasisClass, LocalSystem, SurfaceTriad, basis, check_homogeneity,
+                       check_side, dimension)
 from .values import value_class
 
 MAX_ENTRIES = 10**7  # the largest pairing matrix built, as `braid.MAX_ENTRIES` for words
@@ -67,8 +67,7 @@ def delta_pairing(triad: SurfaceTriad, side: str, ring: LaurentRing | None = Non
     outside SIDES, or more than MAX_ENTRIES = 10^7 entries, is a ValueError
     before anything is built.
     """
-    if side not in SIDES:
-        raise ValueError(f"side must be one of {SIDES}, got {side!r}")
+    check_side(side)
     d = _dimension_within_bound(triad)
     if ring is None:
         from .surfaces import standard_local_system
@@ -156,8 +155,7 @@ def geometric_pairing(
     that is not in the triad's basis (wrong arc count or point count).
     """
     check_homogeneity(triad, system)
-    if side not in SIDES:
-        raise ValueError(f"side must be one of {SIDES}, got {side!r}")
+    check_side(side)
     if left.flavour != "lf_image":
         raise ValueError("left argument must be an lf-image class (U~ or G~)")
     if right.flavour != "relative":

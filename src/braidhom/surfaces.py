@@ -25,6 +25,13 @@ from .values import value_class
 SIDES = ("in", "out")
 FLAVOURS = ("relative", "locally_finite", "lf_image")
 
+
+def check_side(side: str):
+    """Raise ValueError unless `side` is one of SIDES."""
+    if side not in SIDES:
+        raise ValueError(f"side must be one of {SIDES}, got {side!r}")
+
+
 # print symbols for (side, flavour); tildes mark images of relative classes
 _SYMBOLS = {
     ("in", "relative"): "U",
@@ -84,8 +91,7 @@ class BasisClass:
     composition: tuple[int, ...]
 
     def __post_init__(self):
-        if self.side not in SIDES:
-            raise ValueError(f"side must be one of {SIDES}, got {self.side!r}")
+        check_side(self.side)
         if self.flavour not in FLAVOURS:
             raise ValueError(
                 f"flavour must be one of {FLAVOURS}, got {self.flavour!r}"

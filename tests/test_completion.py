@@ -513,6 +513,22 @@ def test_is_zero_and_equal_build_the_lines_once(monkeypatch):
     assert len(calls) == 4
 
 
+def test_a_period_is_factored_once_per_line_and_only_for_a_tail_that_runs(monkeypatch):
+    factored = []
+    period_divisors = completion._period_divisors
+    monkeypatch.setattr(completion, "_period_divisors",
+                        lambda n: factored.append(n) or period_divisors(n))
+    # both tails of a member line run: its one period is factored once
+    assert is_in_group_ring(CompletedElement(RING, RING.zero, (
+        Ray((0, 0), (3, 0), (1,), "bi"), Ray((3, 0), (3, 0), (-1,), "bi"))))
+    assert factored == [3]
+    # the upper tail fails, so the lower-only ray's 2^31 - 1 period is never factored
+    factored.clear()
+    assert not is_in_group_ring(CompletedElement(RING, RING.zero, (
+        Ray((0, 0), (1, 0), (1,), "bi"), Ray((0, 0), (-EXPONENT_BOUND, 0), (1,), "fwd"))))
+    assert factored == [1]
+
+
 def test_every_membership_verdict_refuses_past_the_scan_budget():
     stride = 5 * 10**6
     ring = LaurentRing(2, IntegersModP(5), ("y", "z"))
