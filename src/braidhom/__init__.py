@@ -10,8 +10,13 @@ specialized local systems, and the completed group ring with its helix
 classes.
 
 The public names load their module on first use (PEP 562), so a process
-pays only for the modules it touches; `braidhom.cli rep` never loads the
-homology, completion, pairing or embedding modules.
+pays only for the modules it touches.  `braidhom.cli rep` loads `cli`,
+`braid`, `ring`, `compositions` and `values`, and no other module of the
+package: the identity a word starts from, the standard local system and the
+evaluator at a point live in `ring`, and `braid` imports `linalg` and
+`surfaces` only inside the functions that use them.  Every matrix the
+command line prints goes through one formatter, `ring.matrix_text`, which
+builds the text of each distinct monomial once per matrix.
 """
 
 from importlib import import_module
@@ -38,9 +43,10 @@ _EXPORTS = {
     "pairing": ("PairingMatrix", "closed_form_pairing", "delta_pairing", "geometric_pairing",
                 "geometric_pairing_matrix", "inversions", "local_intersection_sum"),
     "ring": ("ComplexApprox", "GroupRingElement", "Integers", "IntegersModP", "LaurentRing",
-             "Rationals", "exact_divide", "quantum_factorial", "quantum_integer"),
-    "surfaces": ("FLAVOURS", "SIDES", "BasisClass", "LocalSystem", "SurfaceTriad", "basis",
-                 "check_homogeneity", "dimension", "standard_local_system"),
+             "LocalSystem", "Rationals", "exact_divide", "quantum_factorial", "quantum_integer",
+             "standard_local_system"),
+    "surfaces": ("FLAVOURS", "SIDES", "BasisClass", "SurfaceTriad", "basis", "check_homogeneity",
+                 "dimension"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

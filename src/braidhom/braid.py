@@ -79,6 +79,12 @@ linalg.mat_mul runs the same kernel, so a word's entries keep the term order of
 a fold of mat_mul (the rule is in ring.apply_column_plans) and specializations
 do not change.  Both sides of the braid relations go through it too.
 
+Imports.  A cold `braidhom rep` loads this module, ring, compositions and values
+only: the identity, the standard local system and the column-plan kernel come
+from ring, while disc_triad, dual_representation, braid_relations_hold and
+diagonal_conjugation_integrality import surfaces, linalg or embeddings inside
+the function.
+
 Size and caches.  evaluate_word refuses a matrix of more than MAX_ENTRIES =
 10^7 entries before it builds anything: rep --n 3000 --m 1 has 8,994,001
 entries, and n = 80 is the largest LKB size allowed.  The three caches are
@@ -95,10 +101,9 @@ from __future__ import annotations
 
 import functools
 
-from . import linalg
 from .compositions import compositions, count
-from .ring import GroupRingElement, apply_column_plans, column_plan, exact_divide
-from .surfaces import SurfaceTriad, check_side, standard_local_system
+from .ring import (GroupRingElement, apply_column_plans, column_plan, exact_divide, identity,
+                   standard_local_system)
 from .values import value_class
 
 __all__ = [
@@ -117,8 +122,10 @@ _TAGS = {1: "burau/t=x/arc-basis", 2: "lkb/q=x,t=-d/arc-basis"}
 MAX_ENTRIES = 10**7  # the largest matrix evaluate_word builds (module docstring)
 
 
-def disc_triad(n: int, m: int) -> SurfaceTriad:
-    """The punctured-disc triad for the braid group on n strands."""
+def disc_triad(n: int, m: int):
+    """The punctured-disc triad (a `surfaces.SurfaceTriad`) for the braid group on n strands."""
+    from .surfaces import SurfaceTriad
+
     if n < 2:
         raise ValueError(f"need at least 2 marked circles, got n={n}")
     return SurfaceTriad(genus=0, inner_circles=n, outer_intervals=0, points=m)
@@ -285,7 +292,7 @@ def evaluate_word(word: BraidWord, m: int) -> RepMatrix:
     if size * size > MAX_ENTRIES:
         raise ValueError(f"a {size}x{size} matrix (n={n}, m={m}) exceeds the bound of "
                          f"{MAX_ENTRIES} entries")
-    start = linalg.identity(ring, size)
+    start = identity(ring, size)
     plans = [_letter_plan(n, letter, m) for letter in word.letters]
     return RepMatrix(n, m, apply_column_plans(start, plans), _TAGS[m])
 
@@ -298,9 +305,12 @@ def dual_representation(word: BraidWord, m: int, side: str = "in") -> RepMatrix:
     labels which half of the pairing carries rho and is recorded in the
     convention tag.
     """
+    from .linalg import mat_alpha, transpose
+    from .surfaces import check_side
+
     check_side(side)
     base = evaluate_word(word.inverse(), m)
-    entries = linalg.transpose(linalg.mat_alpha(base.entries))
+    entries = transpose(mat_alpha(base.entries))
     return RepMatrix(word.n, m, entries, f"{_TAGS[m]}/dual-{side}")
 
 
@@ -309,17 +319,19 @@ def braid_relations_hold(n: int, m: int) -> bool:
 
     Each side multiplies through the cached letter plans; `mat_eq` ignores term order.
     """
+    from .linalg import mat_eq
+
     mats = {i: _generator_entries(n, i, m) for i in range(1, n)}
 
     def times(i, *letters):
         return apply_column_plans(mats[i], [_letter_plan(n, letter, m) for letter in letters])
 
     for i in range(1, n - 1):
-        if not linalg.mat_eq(times(i, i + 1, i), times(i + 1, i, i + 1)):
+        if not mat_eq(times(i, i + 1, i), times(i + 1, i, i + 1)):
             return False
     for i in range(1, n - 1):
         for j in range(i + 2, n):
-            if not linalg.mat_eq(times(i, j), times(j, i)):
+            if not mat_eq(times(i, j), times(j, i)):
                 return False
     return True
 

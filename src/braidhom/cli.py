@@ -20,8 +20,7 @@ from math import isfinite
 # Only what `rep` needs is imported here; every other subcommand imports its
 # own modules, so a cold `braidhom rep` never loads them.
 from .braid import BraidWord, evaluate_word
-from .linalg import specialize_matrix
-from .ring import ComplexApprox, Rationals
+from .ring import ComplexApprox, Rationals, matrix_text, specialize_matrix
 
 FORMATS = ("json", "latex", "text")
 
@@ -126,10 +125,6 @@ def _surface_fields(triad) -> dict:
     return {"surface": [g, n, k], "m": triad.points}
 
 
-def _matrix_cells(entries) -> list[list[str]]:
-    return [[e.to_text() for e in row] for row in entries]
-
-
 def _value_str(field, value) -> str:
     value = field.coerce(value)
     if not field.is_exact and not (isfinite(value.real) and isfinite(value.imag)):
@@ -165,7 +160,7 @@ def _cmd_pairing(args) -> int:
     else:
         matrix = delta_pairing(triad, args.side)
         kind = "delta"
-    cells = _matrix_cells(matrix.entries)
+    cells = matrix_text(matrix.entries)
     payload = {**_surface_fields(triad), "side": args.side, "kind": kind, "rows": cells}
     _emit(args.format, payload, cells=cells)
     return 0
@@ -181,7 +176,7 @@ def _cmd_embed(args) -> int:
     comps = compositions(triad.arc_count, triad.points)
     if args.specialize is None:
         embedding = embedding_matrix(triad, args.direction, standard_local_system(args.m))
-        diagonal = [entry.to_text() for entry in embedding.diagonal]
+        (diagonal,) = matrix_text([embedding.diagonal])
     else:
         assignments = _parse_assignments(args.specialize)
         if set(assignments) != {"u"}:
@@ -194,9 +189,11 @@ def _cmd_embed(args) -> int:
         diagonal = [_value_str(field, quantum_factorial_product(e, u).coefficient(()))
                     for e in comps]
     payload = {**_surface_fields(triad), "direction": args.direction, "diagonal": diagonal}
-    lines = [f"{','.join(str(p) for p in e)}: {entry}" for e, entry in zip(comps, diagonal)]
+    # Each format builds only what it prints: text a line per entry, latex the d x d matrix.
+    lines = [f"{','.join(map(str, e))}: {entry}" for e, entry in zip(comps, diagonal)
+             ] if args.format == "text" else None
     cells = [[entry if r == c else "0" for c in range(len(diagonal))]
-             for r, entry in enumerate(diagonal)]
+             for r, entry in enumerate(diagonal)] if args.format == "latex" else None
     _emit(args.format, payload, lines, cells)
     return 0
 
@@ -206,7 +203,7 @@ def _cmd_rep(args) -> int:
     word = BraidWord(args.n, letters)
     matrix = evaluate_word(word, args.m)
     if args.specialize is None:
-        cells = _matrix_cells(matrix.entries)
+        cells = matrix_text(matrix.entries)
     else:
         assignments = _parse_assignments(args.specialize)
         field = _field_for(assignments.values())

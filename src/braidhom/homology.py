@@ -44,6 +44,7 @@ from .ring import (
     LaurentRing,
     Rationals,
     exact_divide,
+    matrix_text,
     plan_columns,
     plan_term_columns,
 )
@@ -433,10 +434,7 @@ def complex_to_json(cpx: FiniteChainComplex) -> dict:
         "coefficients": cpx.ring.coefficients.name,
         "variables": list(cpx.ring.variables),
         "ranks": list(cpx.ranks),
-        "boundaries": [
-            [[entry.to_text() for entry in row] for row in boundary]
-            for boundary in cpx.boundaries
-        ],
+        "boundaries": [matrix_text(boundary) for boundary in cpx.boundaries],
     }
 
 

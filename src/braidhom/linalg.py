@@ -9,10 +9,13 @@ that chain complexes run on term maps for their composite check; the
 Fraction-free inversion sums each entry with `sum_of_products`; the tests keep
 it as the oracle of the braid layer's closed-form inverses.
 
-`specialize_matrix` is `ring.specialize_matrix` itself, whose docstring states
-the order of float operations: it evaluates a matrix at a point in one pass,
-and its rows may be ragged, so a caller can specialize only the nonzero
-entries of a matrix, as chain complexes do.  Specialized matrices are lists of
+`identity` and `specialize_matrix` are ring's own functions, under the same
+names here; the braid layer and the command line take them from ring, so a
+cold `braidhom rep` never loads this module.  The docstring of
+`specialize_matrix` states the order of float operations: it evaluates a
+matrix at a point in one pass, and its rows may be ragged, so a caller can
+specialize only the nonzero entries of a matrix, as chain complexes do.
+Specialized matrices are lists of
 field values, and `rank` is the one Gaussian elimination over them, for every
 field: on integer rows over Q (each cleared of denominators and divided by its
 content), on residues mod p over F_p, on floats under complex-approx.  Its
@@ -25,20 +28,14 @@ from __future__ import annotations
 from math import gcd, isfinite, lcm
 
 from .ring import (CoefficientRing, GroupRingElement, Integers, IntegersModP, LaurentRing,
-                   Rationals, apply_column_plans, column_plan, exact_divide, matrix_width,
-                   specialize_matrix, sum_of_products)
+                   Rationals, apply_column_plans, column_plan, exact_divide, identity,
+                   matrix_width, specialize_matrix, sum_of_products)
 
 Matrix = tuple[tuple[GroupRingElement, ...], ...]
 
 
 def as_matrix(rows) -> Matrix:
     return tuple(tuple(row) for row in rows)
-
-
-def identity(ring: LaurentRing, size: int) -> Matrix:
-    """The identity matrix; its entries share one `one` and one `zero` (see `ring`)."""
-    one, zero = ring.one, ring.zero
-    return tuple(tuple(one if i == j else zero for j in range(size)) for i in range(size))
 
 
 def common_ring(ring: LaurentRing | None, *matrices: Matrix) -> LaurentRing | None:

@@ -128,13 +128,20 @@ def _class_pairing(
     class and f_i != e_i of the other admits no bijection, hence no
     configuration lies on both classes.  Otherwise the intersection points
     are the tuples of per-arc bijections, and their sum is the product over
-    arcs of local_sums[e_i], the per-arc sum for e_i points.
+    arcs of local_sums[e_i], the per-arc sum for e_i points, from left to
+    right.  Over an exact ring a sum equal to one (that of 0 or 1 points) is
+    skipped, since a product with it changes no term; under complex-approx
+    every sum is multiplied in, because a product with 1 can turn a -0.0
+    imaginary part into 0.0.
     """
     if left != right:
         return ring.zero
-    total = local_sums[left[0]]
-    for r in left[1:]:
-        total = total * local_sums[r]
+    exact = ring.coefficients.is_exact
+    ones = {r for r, s in local_sums.items() if exact and s == ring.one}
+    factors = [local_sums[r] for r in left if r not in ones]
+    total = factors[0] if factors else ring.one
+    for factor in factors[1:]:
+        total = total * factor
     return total
 
 

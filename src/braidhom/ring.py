@@ -31,7 +31,19 @@ The canonical anti-automorphism alpha sends a group element to its inverse,
 i.e. negates every exponent vector; since R is commutative it is a ring
 involution.  Quantum integers [n]_u = 1 + u + ... + u^(n-1) and their
 factorials live here too, because they are plain ring elements once u is
-chosen.
+chosen; over exact coefficients a product of factorials skips the factors
+[0]_u! = [1]_u! = 1.
+
+Text.  `matrix_text` is the one formatter from elements to text: it prints a
+matrix, builds each monomial's text once per call and leaves the sign split
+and the printing of a coefficient to its ring (`split_sign`, `to_str`);
+`GroupRingElement.to_text` is it on one element.  `LaurentRing.parse` reads
+that text back, and its docstring states the term grammar.
+
+A cold `braidhom rep` needs nothing of the package beyond this module, `braid`,
+`compositions` and `values`, so what a word's evaluation starts from lives here:
+the identity matrix, the standard local system (the (x, d) convention, which
+`surfaces` exports under its public name as well) and the evaluator at a point.
 """
 
 from __future__ import annotations
@@ -388,7 +400,24 @@ class LaurentRing:
         )
 
     def parse(self, text: str) -> GroupRingElement:
-        """Parse the canonical text form produced by GroupRingElement.to_text."""
+        """Parse the text form that GroupRingElement.to_text prints; terms may repeat.
+
+        The grammar, after stripping surrounding whitespace:
+
+            element     := "0" | term (separator term)*
+            separator   := " + " | " - "
+            term        := ["-"] factor ("*" factor)*      (spaces around a factor are dropped)
+            factor      := variable ["^" exponent] | coefficient
+            exponent    := ["+" | "-"] digit+               (ASCII digits)
+            coefficient := what the coefficient ring's from_str reads: an integer over
+                           Z and F_p, p or p/q over Q, a complex literal under complex-approx
+
+        A variable is one of the ring's variable names and may repeat in a term
+        (exponents add); a term holds at most one coefficient (1 if none).  A
+        leading "-" negates the term unless the term's first factor is a
+        coefficient, which then carries the sign.  Anything else is a
+        ValueError that names the term, after any leading "-".
+        """
         return _parse_element(self, text)
 
 
@@ -566,30 +595,8 @@ class GroupRingElement:
     # -- printing and parsing -------------------------------------------------
 
     def to_text(self) -> str:
-        """Canonical text form: terms in ascending lex order of exponents."""
-        if not self.terms:
-            return "0"
-        k = self.ring.coefficients
-        pieces: list[tuple[int, str]] = []
-        for exps, coeff in self.items():
-            sign, mag = k.split_sign(coeff)
-            mono = "*".join(
-                v if e == 1 else f"{v}^{e}"
-                for v, e in zip(self.ring.variables, exps)
-                if e != 0
-            )
-            if not mono:
-                body = k.to_str(mag)
-            elif mag == k.one:
-                body = mono
-            else:
-                body = f"{k.to_str(mag)}*{mono}"
-            pieces.append((sign, body))
-        sign, body = pieces[0]
-        out = ("-" if sign < 0 else "") + body
-        for sign, body in pieces[1:]:
-            out += (" - " if sign < 0 else " + ") + body
-        return out
+        """Canonical text form: terms in ascending lex order of exponents (`matrix_text`)."""
+        return matrix_text(((self,),))[0][0]
 
     def to_json_terms(self) -> list:
         k = self.ring.coefficients
@@ -600,6 +607,57 @@ class GroupRingElement:
 
     def __repr__(self):
         return self.to_text()
+
+
+def matrix_text(rows) -> list[list[str]]:
+    """The canonical text of every entry of `rows` (all in one ring; rows may be ragged).
+
+    An entry with no terms is "0".  Otherwise its terms come in ascending lex
+    order of exponents, each as coefficient*monomial, joined by " + " or by
+    " - " with the coefficient's magnitude after it (the ring's `split_sign`;
+    a leading negative term starts with "-").  A monomial is its variables with
+    nonzero exponents, "v" or "v^e", joined by "*"; the coefficient is left
+    out when its magnitude is one, and a term with no variables is the
+    coefficient alone, printed by the ring's `to_str`.  Each monomial's text is
+    built once per call, keyed by its packed key.
+    """
+    ring = next((x.ring for row in rows for x in row), None)
+    if ring is None:
+        return [["0"] * len(row) for row in rows]
+    k = ring.coefficients
+    split_sign, to_str, one = k.split_sign, k.to_str, k.one
+    variables, unpack = ring.variables, ring._unpack
+    monomials: dict[int, str] = {}
+    out = []
+    for row in rows:
+        cells = []
+        for x in row:
+            if x.ring is not ring and x.ring != ring:
+                raise ValueError(f"ring context mismatch: {ring} vs {x.ring}")
+            terms = x.terms
+            if not terms:
+                cells.append("0")
+                continue
+            text = ""
+            for key, coeff in sorted(terms.items()):
+                sign, mag = split_sign(coeff)
+                mono = monomials.get(key)
+                if mono is None:
+                    mono = monomials[key] = "*".join(
+                        v if e == 1 else f"{v}^{e}" for v, e in zip(variables, unpack(key)) if e)
+                if not mono:
+                    body = to_str(mag)
+                elif mag == one:
+                    body = mono
+                else:
+                    body = f"{to_str(mag)}*{mono}"
+                if text:
+                    text += (" - " if sign < 0 else " + ") + body
+                else:
+                    text = "-" + body if sign < 0 else body
+            cells.append(text)
+        out.append(cells)
+    return out
 
 
 def _parse_element(ring: LaurentRing, text: str) -> GroupRingElement:
@@ -623,13 +681,25 @@ def _parse_element(ring: LaurentRing, text: str) -> GroupRingElement:
                 raise ValueError(f"cannot parse term {chunk!r}")
             name, caret, power = factor.partition("^")
             if name in ring.variables:
-                if caret and not power:
-                    raise ValueError(f"cannot parse term {chunk!r}: '^' without an exponent")
+                if caret:
+                    if not power:
+                        raise ValueError(f"cannot parse term {chunk!r}: '^' without an exponent")
+                    digits = power[1:] if power[0] in "+-" else power
+                    if not (digits.isascii() and digits.isdigit()):
+                        raise ValueError(f"cannot parse term {chunk!r}: the exponent {power!r}"
+                                         " is not an integer")
                 exps[ring.variables.index(name)] += int(power) if caret else 1
-            elif coeff is None:
-                coeff = k.from_str(factor)
-            else:
-                raise ValueError(f"cannot parse factor {factor!r} in {chunk!r}")
+                continue
+            value = None if caret else _coefficient(k, factor)
+            if value is None:
+                if caret or factor.isidentifier():
+                    raise ValueError(f"cannot parse term {chunk!r}: unknown variable {name!r};"
+                                     f" the variables are {ring.variables}")
+                raise ValueError(f"cannot parse term {chunk!r}: {factor!r} is neither a variable"
+                                 f" of {ring.variables} nor a coefficient over {k.name}")
+            if coeff is not None:
+                raise ValueError(f"cannot parse term {chunk!r}: a second coefficient {factor!r}")
+            coeff = value
         if coeff is None:
             coeff = k.one
         if negate:
@@ -639,14 +709,17 @@ def _parse_element(ring: LaurentRing, text: str) -> GroupRingElement:
     return ring.element(terms)
 
 
+def _coefficient(k: CoefficientRing, text: str):
+    """k.from_str(text), or None where k reads no coefficient there."""
+    try:
+        return k.from_str(text)
+    except (ValueError, TypeError, ZeroDivisionError):
+        return None
+
+
 def _looks_numeric(chunk: str, k: CoefficientRing) -> bool:
     # "-2*x" starts with a numeric factor carrying its own sign; "-x" does not
-    head = chunk.split("*", 1)[0]
-    try:
-        k.from_str(head)
-        return True
-    except (ValueError, TypeError):
-        return False
+    return _coefficient(k, chunk.split("*", 1)[0]) is not None
 
 
 def _product(k: CoefficientRing, f: dict, g: dict, native: bool = False) -> dict:
@@ -708,6 +781,12 @@ def sum_of_products(ring: LaurentRing, pairs) -> GroupRingElement:
 def _native(k: CoefficientRing) -> bool:
     """Whether k's add, mul and is_zero are Python's operators (Z and Q)."""
     return (k.add, k.mul, k.is_zero) == (operator.add, operator.mul, operator.not_)
+
+
+def identity(ring: LaurentRing, size: int) -> tuple[tuple[GroupRingElement, ...], ...]:
+    """The identity matrix; its entries share one `one` and one `zero`."""
+    one, zero = ring.one, ring.zero
+    return tuple(tuple(one if i == j else zero for j in range(size)) for i in range(size))
 
 
 def matrix_width(matrix) -> int:
@@ -997,6 +1076,43 @@ def exact_divide(f: GroupRingElement, g: GroupRingElement) -> GroupRingElement |
 
 
 # ---------------------------------------------------------------------------
+# local systems
+# ---------------------------------------------------------------------------
+
+@value_class
+class LocalSystem:
+    """A rank-1 local system presented by its ground ring and swap unit u.
+
+    The standard system for m points on the punctured disc has deck group
+    generated by x (one point winding once around a puncture) and, for
+    m >= 2, d (two points swapping inside a small disc); it is d-homogeneous.
+    For m = 1 there are no swap loops and u = 1 by convention.
+    """
+
+    ring: LaurentRing
+    u: GroupRingElement
+
+    def __post_init__(self):
+        if self.u.ring != self.ring:
+            raise ValueError("homogeneity unit must live in the system's ring")
+        if self.ring.coefficients.is_exact and not self.u.is_unit():
+            raise ValueError(f"homogeneity unit must be a unit, got {self.u}")
+
+
+def standard_local_system(m: int, coefficients=None) -> LocalSystem:
+    """The d-homogeneous system over k[x^+-1, d^+-1] (x-only when m = 1)."""
+    if m < 1:
+        raise ValueError("need at least one configuration point")
+    if coefficients is None:
+        coefficients = Integers()
+    if m == 1:
+        ring = LaurentRing(1, coefficients, ("x",))
+        return LocalSystem(ring, ring.one)
+    ring = LaurentRing(2, coefficients, ("x", "d"))
+    return LocalSystem(ring, ring.var("d"))
+
+
+# ---------------------------------------------------------------------------
 # quantum integers and factorials
 # ---------------------------------------------------------------------------
 
@@ -1030,9 +1146,14 @@ def quantum_factorial_product(parts, u: GroupRingElement) -> GroupRingElement:
     """prod_i [e_i]_u! over the parts e_i of a composition, multiplied left to right.
 
     This is the diagonal entry of an embedding matrix and the closed form of
-    the geometric pairing of a class with itself.
+    the geometric pairing of a class with itself.  Over an exact ring a part
+    of 0 or 1 is skipped: its factor [0]_u! = [1]_u! = 1 changes no term of the
+    product.  Under complex-approx every factor is multiplied in, because a
+    product with 1 can turn a -0.0 imaginary part into 0.0.
     """
+    exact = u.ring.coefficients.is_exact
     result = u.ring.one
     for part in parts:
-        result = result * quantum_factorial(part, u)
+        if not exact or part not in (0, 1):
+            result = result * quantum_factorial(part, u)
     return result

@@ -12,6 +12,8 @@ and embedding modules.
 
 The lf_image flavour labels the image of a relative class inside the
 locally finite module on the other side, written with a tilde in print.
+`LocalSystem` and `standard_local_system` are defined in `ring`, where braid
+words find them without loading this module, and are exported here too.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 from math import comb
 
 from .compositions import compositions
-from .ring import GroupRingElement, Integers, LaurentRing
+from .ring import LocalSystem, standard_local_system  # noqa: F401 (public here, defined in ring)
 from .values import value_class
 
 SIDES = ("in", "out")
@@ -124,39 +126,6 @@ def basis(triad: SurfaceTriad, side: str, flavour: str) -> list[BasisClass]:
         BasisClass(side, flavour, e)
         for e in compositions(triad.arc_count, triad.points)
     ]
-
-
-@value_class
-class LocalSystem:
-    """A rank-1 local system presented by its ground ring and swap unit u.
-
-    The standard system for m points on the punctured disc has deck group
-    generated by x (one point winding once around a puncture) and, for
-    m >= 2, d (two points swapping inside a small disc); it is d-homogeneous.
-    For m = 1 there are no swap loops and u = 1 by convention.
-    """
-
-    ring: LaurentRing
-    u: GroupRingElement
-
-    def __post_init__(self):
-        if self.u.ring != self.ring:
-            raise ValueError("homogeneity unit must live in the system's ring")
-        if self.ring.coefficients.is_exact and not self.u.is_unit():
-            raise ValueError(f"homogeneity unit must be a unit, got {self.u}")
-
-
-def standard_local_system(m: int, coefficients=None) -> LocalSystem:
-    """The d-homogeneous system over k[x^+-1, d^+-1] (x-only when m = 1)."""
-    if m < 1:
-        raise ValueError("need at least one configuration point")
-    if coefficients is None:
-        coefficients = Integers()
-    if m == 1:
-        ring = LaurentRing(1, coefficients, ("x",))
-        return LocalSystem(ring, ring.one)
-    ring = LaurentRing(2, coefficients, ("x", "d"))
-    return LocalSystem(ring, ring.var("d"))
 
 
 def check_homogeneity(triad: SurfaceTriad, system: LocalSystem):

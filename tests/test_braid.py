@@ -351,6 +351,59 @@ def test_word_times_inverse_is_the_identity():
             assert mat_eq(product.rows(), identity(product.ring, product.size))
 
 
+# -- known values from the literature ---------------------------------------------
+
+
+def _scalar_matrix(ring, size, exponents):
+    """The scalar matrix x^a d^b * I (exponents (a,) or (a, b)) over `ring`."""
+    return tuple(tuple(ring.monomial(exponents) if i == j else ring.zero for j in range(size))
+                 for i in range(size))
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_the_full_twist_is_central_and_scalar(n):
+    # (sigma_1 ... sigma_{n-1})^n generates the centre of B_n, so an irreducible
+    # representation sends it to a scalar: x^n under reduced Burau, x^(2n) d^2 under LKB.
+    # Its inverse, read off the inverse tables, is the inverse scalar.
+    full_twist = BraidWord(n, tuple(range(1, n)) * n)
+    for m, exponents in ((1, (n,)), (2, (2 * n, 2))):
+        for word, sign in ((full_twist, 1), (full_twist.inverse(), -1)):
+            image = evaluate_word(word, m)
+            scalar = _scalar_matrix(image.ring, image.size, tuple(sign * e for e in exponents))
+            assert mat_eq(image.rows(), scalar)
+
+
+def _free_reduction(letters):
+    out = []
+    for a in letters:
+        if out and out[-1] == -a:
+            out.pop()
+        else:
+            out.append(a)
+    return tuple(out)
+
+
+def _inverse_letters(letters):
+    return tuple(-a for a in reversed(letters))
+
+
+def test_bigelows_commutator_is_in_the_kernel_of_burau_at_five_strands():
+    # S. Bigelow, "The Burau representation is not faithful for n = 5", Geom. Topol. 3
+    # (1999) 397-404, Theorem 1.1: with
+    #   psi_1 = s3^-1 s2 s1^2 s2 s4^3 s3 s2,
+    #   psi_2 = s4^-1 s3 s2 s1^-2 s2 s1^2 s2^2 s1 s4^5,
+    # the commutator [psi_1^-1 s4 psi_1, psi_2^-1 s4 s3 s2 s1^2 s2 s3 s4 psi_2] is a
+    # nontrivial braid in the kernel of the reduced Burau representation of B_5.
+    psi_1 = (-3, 2, 1, 1, 2, 4, 4, 4, 3, 2)
+    psi_2 = (-4, 3, 2, -1, -1, 2, 1, 1, 2, 2, 1, 4, 4, 4, 4, 4)
+    a = _inverse_letters(psi_1) + (4,) + psi_1
+    b = _inverse_letters(psi_2) + (4, 3, 2, 1, 1, 2, 3, 4) + psi_2
+    commutator = _free_reduction(a + b + _inverse_letters(a) + _inverse_letters(b))
+    assert len(commutator) == 118
+    image = evaluate_word(BraidWord(5, commutator), 1)
+    assert mat_eq(image.rows(), identity(image.ring, image.size))
+
+
 def test_braid_equal_words_evaluate_equally():
     for m in (1, 2):
         left = evaluate_word(BraidWord(3, (1, 2, 1)), m)

@@ -2,12 +2,15 @@
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from braidhom import checks
+from braidhom import checks, cli
 from braidhom.cli import main
 from braidhom.homology import circle_complex, complex_to_json
 from braidhom.ring import Integers, LaurentRing
@@ -281,6 +284,42 @@ def test_homology_entry_with_a_caret_and_no_exponent_is_one_error_line(tmp_path,
     assert code == 1
     assert out == ""
     assert err == "error: cannot parse term 'x^': '^' without an exponent\n"
+
+
+@pytest.mark.parametrize("entry, message", [
+    ("x^^2 - 1", "cannot parse term 'x^^2': the exponent '^2' is not an integer"),
+    ("2x", "cannot parse term '2x': '2x' is neither a variable of ('x',) nor a coefficient"
+           " over integers"),
+    ("x^1.5", "cannot parse term 'x^1.5': the exponent '1.5' is not an integer"),
+    ("1 + y", "cannot parse term 'y': unknown variable 'y'; the variables are ('x',)"),
+])
+def test_homology_entry_outside_the_term_grammar_is_the_parsers_error_line(tmp_path, capsys,
+                                                                          entry, message):
+    # each of these ended in "error: invalid literal for int() with base 10: ..."
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"schema": 1, "variables": ["x"], "ranks": [1, 1],
+                                "boundaries": [[[entry]]]}))
+    code, out, err = run(capsys, "homology", "--complex", str(path), "--at", "x=2")
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, digest", [
+    # the diagonal [e]! of 3,162 one-point classes of 3,162 parts each
+    (("embed", "--surface", "0,3163,0", "--m", "1"), "eb31b0adbe32b33a5ba30c6966517583"),
+    # a 3162 x 3162 pairing matrix, 50 MB of json
+    (("pairing", "--surface", "0,3163,0", "--m", "1", "--geometric"),
+     "f131d60728c8ef1c90a4813212fa7a25"),
+])
+def test_unit_factors_are_skipped_over_exact_rings(argv, digest):
+    # Each diagonal entry is a product of 3,162 factors equal to one: multiplied in, the
+    # embedding ran past 60 s and the geometric pairing took 42 s.
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    start = time.perf_counter()
+    result = subprocess.run([sys.executable, "-m", "braidhom.cli", *argv], env=env,
+                            capture_output=True, timeout=60)
+    assert time.perf_counter() - start < 15
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert hashlib.md5(result.stdout).hexdigest() == digest
 
 
 @pytest.mark.parametrize("at", ["x=1/3", "x=0.7648+0.6442j"])

@@ -51,7 +51,8 @@ def test_cold_rep_loads_only_what_it_uses():
     assert code == "0"
     assert "braidhom.braid" in modules
     for absent in ("dataclasses", "inspect", "braidhom.homology", "braidhom.completion",
-                   "braidhom.pairing", "braidhom.embeddings", "braidhom.checks"):
+                   "braidhom.pairing", "braidhom.embeddings", "braidhom.checks",
+                   "braidhom.linalg", "braidhom.surfaces"):
         assert absent not in modules
 
 

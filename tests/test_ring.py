@@ -21,7 +21,9 @@ from braidhom.ring import (
     LaurentRing,
     Rationals,
     exact_divide,
+    matrix_text,
     quantum_factorial,
+    quantum_factorial_product,
     quantum_integer,
 )
 
@@ -266,6 +268,72 @@ def test_large_prime_moduli_are_decided_quickly():
         IntegersModP(2**89 - 1)
 
 
+def _reference_text(element):
+    """The canonical text form as each element printed it alone, before `matrix_text`."""
+    if not element.terms:
+        return "0"
+    k = element.ring.coefficients
+    pieces = []
+    for exps, coeff in element.items():
+        sign, mag = k.split_sign(coeff)
+        mono = "*".join(v if e == 1 else f"{v}^{e}"
+                        for v, e in zip(element.ring.variables, exps) if e != 0)
+        if not mono:
+            body = k.to_str(mag)
+        elif mag == k.one:
+            body = mono
+        else:
+            body = f"{k.to_str(mag)}*{mono}"
+        pieces.append((sign, body))
+    sign, body = pieces[0]
+    out = ("-" if sign < 0 else "") + body
+    for sign, body in pieces[1:]:
+        out += (" - " if sign < 0 else " + ") + body
+    return out
+
+
+_SMALL_INTS = st.integers(-4, 4)
+_COEFFICIENTS = {
+    "integers": (Integers(), st.integers(-10**20, 10**20) | _SMALL_INTS),
+    "rationals": (Rationals(), st.fractions(max_denominator=9) | _SMALL_INTS.map(Fraction)),
+    "mod 7": (IntegersModP(7), _SMALL_INTS),
+    "mod 2^61 - 1": (IntegersModP(2**61 - 1), st.integers(-2**62, 2**62)),
+    # signed zeros and units, whose text the sign split and the unit test decide
+    "complex-approx": (ComplexApprox(), st.builds(
+        complex, st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.25, 1e-12, 3e300]),
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.75, -1e-3]))),
+}
+
+
+@st.composite
+def _text_matrices(draw):
+    k, coefficients = _COEFFICIENTS[draw(st.sampled_from(sorted(_COEFFICIENTS)))]
+    rank = draw(st.integers(0, 3))
+    ring = LaurentRing(rank, k)
+    exponents = st.tuples(*[st.integers(-3, 3) | st.integers(-EXPONENT_BOUND, EXPONENT_BOUND)
+                            for _ in range(rank)])
+    element = st.dictionaries(exponents, coefficients, max_size=5).map(ring.element)
+    width = draw(st.integers(1, 4))
+    return draw(st.lists(st.lists(element, min_size=width, max_size=width), max_size=4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_text_matrices())
+def test_matrix_text_is_each_entry_printed_alone(rows):
+    # One call shares its monomial texts across entries; each cell is what the entry
+    # printed alone before, zero entries and every coefficient ring included.
+    assert matrix_text(rows) == [[_reference_text(x) for x in row] for row in rows]
+    for row in rows:
+        for x in row:
+            assert x.to_text() == _reference_text(x)
+
+
+def test_matrix_text_refuses_entries_from_two_rings():
+    other = LaurentRing(2, Integers(), ("x", "y"))
+    with pytest.raises(ValueError, match="ring context mismatch"):
+        matrix_text([[ZZ.var("x")], [other.var("y")]])
+
+
 def test_canonical_text_round_trip():
     rng = random.Random(5)
     for _ in range(200):
@@ -280,6 +348,36 @@ def test_a_caret_without_an_exponent_is_refused(text, term):
     with pytest.raises(ValueError, match=re.escape(f"cannot parse term {term!r}")):
         ZZ.parse(text)
     assert ZZ.parse("x^1") == ZZ.parse("x") == ZZ.var("x")
+
+
+@pytest.mark.parametrize("text, term, reason", [
+    ("x^^2", "x^^2", "the exponent '^2' is not an integer"),
+    ("x^1.5 + 1", "x^1.5", "the exponent '1.5' is not an integer"),
+    ("1 - x^ 2", "x^ 2", "the exponent ' 2' is not an integer"),
+    ("2x", "2x", "'2x' is neither a variable of ('x', 'd') nor a coefficient over integers"),
+    ("y", "y", "unknown variable 'y'; the variables are ('x', 'd')"),
+    ("3*y^2*x", "3*y^2*x", "unknown variable 'y'; the variables are ('x', 'd')"),
+    ("-2*y", "-2*y", "unknown variable 'y'; the variables are ('x', 'd')"),
+    ("2*3*x", "2*3*x", "a second coefficient '3'"),
+])
+def test_malformed_terms_are_refused_by_the_parser_naming_the_term(text, term, reason):
+    with pytest.raises(ValueError) as refusal:
+        ZZ.parse(text)
+    assert str(refusal.value) == f"cannot parse term {term!r}: {reason}"
+
+
+def test_the_grammar_accepts_repeated_variables_signed_exponents_and_ring_coefficients():
+    x, d = ZZ.var("x"), ZZ.var("d")
+    assert ZZ.parse("x*x^-3*d^+2 - 2*d") == x ** -2 * d ** 2 - 2 * d
+    assert ZZ.parse("-5 - x") == -x - 5
+    QQ = LaurentRing(1, Rationals(), ("x",))
+    assert QQ.parse("-1/2*x + 3/4") == QQ.element({(1,): Fraction(-1, 2), (0,): Fraction(3, 4)})
+    with pytest.raises(ValueError, match=re.escape(
+            "cannot parse term '1/0*x': '1/0' is neither a variable of ('x',) nor a coefficient"
+            " over rationals")):
+        QQ.parse("-1/0*x")
+    CA = LaurentRing(1, ComplexApprox(), ("x",))
+    assert CA.parse("(1-2j)*x - 0.5") == CA.element({(1,): 1 - 2j, (0,): -0.5})
 
 
 def test_json_terms_round_trip():
@@ -361,6 +459,27 @@ def test_complex_approx_drops_rounding_residue():
     assert residue.to_text() == "0"
     assert (x * 0.1 * (x * 0.2) - x ** 2 * 0.02).to_text() == "0"
     assert CA.element({(1,): 1e-17, (2,): 1}).to_text() == "x^2"
+
+
+@pytest.mark.parametrize("ring, u", [
+    (ZZ, ZZ.var("d")),
+    (LaurentRing(1, IntegersModP(5), ("u",)), LaurentRing(1, IntegersModP(5), ("u",)).one),
+    (LaurentRing(0, ComplexApprox()), LaurentRing(0, ComplexApprox()).scalar(complex(2, -0.0))),
+    (LaurentRing(1, ComplexApprox(), ("u",)),
+     LaurentRing(1, ComplexApprox(), ("u",)).element({(1,): complex(-0.5, -0.0), (0,): 3})),
+])
+def test_quantum_factorial_product_is_the_left_to_right_chain(ring, u):
+    # Exact rings skip the factors [0]! = [1]! = 1; complex-approx multiplies them in,
+    # since (2 - 0j) * (1 + 0j) is (2 + 0j).  Either way the terms, their order and
+    # every signed zero are those of the full chain.
+    for parts in ((0, 1, 2, 1, 0, 3), (1, 1), (), (2, 0, 2)):
+        chain = ring.one
+        for part in parts:
+            chain = chain * quantum_factorial(part, u)
+        product = quantum_factorial_product(parts, u)
+        assert repr(list(product.terms.items())) == repr(list(chain.terms.items()))
+    with pytest.raises(ValueError, match="defined for n >= 0"):
+        quantum_factorial_product((1, -1), u)
 
 
 def test_quantum_integers_small_values():
