@@ -251,14 +251,6 @@ def _generator_inverse_entries(n: int, i: int, m: int):
     return _local_rows(n, i, m, _SIGMA_INVERSE_N3 if n == 3 else _SIGMA_INVERSE)
 
 
-def _validate(n: int, i: int, m: int):
-    _system(m)
-    if n < 2:
-        raise ValueError(f"braid group needs n >= 2, got {n}")
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"generator index {i} out of range 1..{n - 1}")
-
-
 def generator_matrix(n: int, i: int, m: int) -> RepMatrix:
     """Matrix of the i-th braid generator on the composition basis.
 
@@ -266,7 +258,11 @@ def generator_matrix(n: int, i: int, m: int) -> RepMatrix:
     (size n(n-1)/2).  Row and column order is the composition enumeration
     order of E_{n-1,m}.
     """
-    _validate(n, i, m)
+    _system(m)
+    if n < 2:
+        raise ValueError(f"braid group needs n >= 2, got {n}")
+    if not 1 <= i <= n - 1:
+        raise ValueError(f"generator index {i} out of range 1..{n - 1}")
     return RepMatrix(n, m, _generator_entries(n, i, m), _TAGS[m])
 
 

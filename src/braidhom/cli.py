@@ -167,13 +167,10 @@ def _cmd_pairing(args) -> int:
 
 
 def _cmd_embed(args) -> int:
-    from .compositions import compositions
     from .embeddings import embedding_matrix
-    from .ring import LaurentRing, quantum_factorial_product
-    from .surfaces import LocalSystem, check_homogeneity, standard_local_system
+    from .ring import LaurentRing, LocalSystem, standard_local_system
 
     triad = _parse_surface(args)
-    comps = compositions(triad.arc_count, triad.points)
     if args.specialize is None:
         embedding = embedding_matrix(triad, args.direction, standard_local_system(args.m))
         (diagonal,) = matrix_text([embedding.diagonal])
@@ -185,13 +182,12 @@ def _cmd_embed(args) -> int:
         u = LaurentRing(0, field).scalar(assignments["u"])
         if field.is_zero(u.coefficient(())):
             raise ValueError(f"the swap unit must be a unit, got u={assignments['u']}")
-        check_homogeneity(triad, LocalSystem(u.ring, u))
-        diagonal = [_value_str(field, quantum_factorial_product(e, u).coefficient(()))
-                    for e in comps]
+        embedding = embedding_matrix(triad, args.direction, LocalSystem(u.ring, u))
+        diagonal = [_value_str(field, entry.coefficient(())) for entry in embedding.diagonal]
     payload = {**_surface_fields(triad), "direction": args.direction, "diagonal": diagonal}
     # Each format builds only what it prints: text a line per entry, latex the d x d matrix.
-    lines = [f"{','.join(map(str, e))}: {entry}" for e, entry in zip(comps, diagonal)
-             ] if args.format == "text" else None
+    lines = [f"{','.join(map(str, e))}: {entry}" for e, entry in
+             zip(embedding.compositions, diagonal)] if args.format == "text" else None
     cells = [[entry if r == c else "0" for c in range(len(diagonal))]
              for r, entry in enumerate(diagonal)] if args.format == "latex" else None
     _emit(args.format, payload, lines, cells)
@@ -263,14 +259,14 @@ def _cmd_homology(args) -> int:
 
 def _cmd_helix(args) -> int:
     from .completion import completed_to_json, helix_class, is_in_group_ring
-    from .compositions import compositions
+    from .compositions import rank
 
     triad = _parse_surface(args)
     e = _parse_ints(args.e, "--e")
     y = _parse_ints(args.y, "--y")
     z = _parse_ints(args.z, "--z")
     vector = helix_class(triad, e, y, z)
-    coordinate = vector.entries[list(compositions(triad.arc_count, triad.points)).index(e)]
+    coordinate = vector.entries[rank(e)]
     membership = is_in_group_ring(coordinate)
     payload = {**_surface_fields(triad), "e": list(e),
                "coordinate": completed_to_json(coordinate), "in_group_ring": membership}

@@ -36,7 +36,8 @@ from itertools import chain
 from math import gcd, lcm
 
 from .compositions import compositions
-from .ring import EXPONENT_BOUND, GroupRingElement, Integers, IntegersModP, LaurentRing
+from .ring import (EXPONENT_BOUND, GroupRingElement, Integers, IntegersModP, LaurentRing,
+                   json_coefficient, json_list)
 from .surfaces import SurfaceTriad, check_side, dimension
 from .values import value_class
 
@@ -540,17 +541,19 @@ def completed_to_json(c: CompletedElement) -> dict:
 
 
 def completed_from_json(ring: LaurentRing, data: dict) -> CompletedElement:
-    if data.get("schema") != 1:
+    """Read what completed_to_json writes; a missing or ill-typed field is a ValueError."""
+    if not isinstance(data, dict) or data.get("schema") != 1:
         raise ValueError("unsupported schema version")
     k = ring.coefficients
-    finite = ring.from_json_terms(data["finite"])
+    finite = ring.from_json_terms(json_list(data.get("finite"), dict, "field 'finite'"))
     rays = tuple(
         Ray(
-            tuple(entry["base"]),
-            tuple(entry["step"]),
-            tuple(k.from_str(p) for p in entry["pattern"]),
+            tuple(json_list(entry.get("base"), int, "ray field 'base'")),
+            tuple(json_list(entry.get("step"), int, "ray field 'step'")),
+            tuple(json_coefficient(k, p, "an entry of ray field 'pattern'")
+                  for p in json_list(entry.get("pattern"), str, "ray field 'pattern'")),
             entry.get("direction", "bi"),
         )
-        for entry in data["rays"]
+        for entry in json_list(data.get("rays"), dict, "field 'rays'")
     )
     return CompletedElement(ring, finite, rays)

@@ -44,6 +44,7 @@ from .ring import (
     LaurentRing,
     Rationals,
     exact_divide,
+    json_list,
     matrix_text,
     plan_columns,
     plan_term_columns,
@@ -446,9 +447,7 @@ def complex_from_json(data: dict) -> FiniteChainComplex:
     if not isinstance(name, str) or name not in _COEFFICIENTS:
         raise ValueError(f"unsupported coefficients: {name!r}")
     for field, kind in (("variables", str), ("ranks", int), ("boundaries", list)):
-        value = data.get(field)
-        if not isinstance(value, list) or not all(isinstance(x, kind) for x in value):
-            raise ValueError(f"complex field {field!r} must be a list of {kind.__name__}")
+        json_list(data.get(field), kind, f"complex field {field!r}")
     rows = [row for boundary in data["boundaries"] for row in boundary]
     if not all(isinstance(row, list) and all(isinstance(t, str) for t in row) for row in rows):
         raise ValueError("complex field 'boundaries' must hold rows of strings")

@@ -6,8 +6,8 @@ into a column plan and applies it (`ring.column_plan`, `ring.apply_column_plans`
 the kernel that braid words and the braid relations use with cached plans and
 that chain complexes run on term maps for their composite check; the
 `apply_column_plans` docstring states the term order every product keeps.
-Fraction-free inversion sums each entry with `sum_of_products`; the tests keep
-it as the oracle of the braid layer's closed-form inverses.
+Fraction-free inversion updates each entry with the ring's `*` and `+`; the tests
+keep it as the oracle of the braid layer's closed-form inverses.
 
 `identity` and `specialize_matrix` are ring's own functions, under the same
 names here; the braid layer and the command line take them from ring, so a
@@ -29,7 +29,7 @@ from math import gcd, isfinite, lcm
 
 from .ring import (CoefficientRing, GroupRingElement, Integers, IntegersModP, LaurentRing,
                    Rationals, apply_column_plans, column_plan, exact_divide, identity,
-                   matrix_width, specialize_matrix, sum_of_products)
+                   matrix_width, specialize_matrix)
 
 Matrix = tuple[tuple[GroupRingElement, ...], ...]
 
@@ -113,7 +113,7 @@ def invert(a: Matrix, ring: LaurentRing) -> Matrix:
             for j in range(2 * n):
                 if j == k:
                     continue
-                entry = sum_of_products(ring, ((pivot, m[i][j]), (minus_factor, m[k][j])))
+                entry = pivot * m[i][j] + minus_factor * m[k][j]
                 if divide and not entry.is_zero():
                     entry = exact_divide(entry, prev)
                     if entry is None:

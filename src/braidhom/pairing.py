@@ -27,10 +27,11 @@ from __future__ import annotations
 from collections import Counter
 from itertools import combinations, permutations
 
+from .compositions import compositions
 from .linalg import Matrix, identity
 from .ring import GroupRingElement, LaurentRing, quantum_factorial_product
-from .surfaces import (BasisClass, LocalSystem, SurfaceTriad, basis, check_homogeneity,
-                       check_side, dimension)
+from .surfaces import (BasisClass, LocalSystem, SurfaceTriad, check_homogeneity, check_side,
+                       dimension)
 from .values import value_class
 
 MAX_ENTRIES = 10**7  # the largest pairing matrix built, as `braid.MAX_ENTRIES` for words
@@ -192,18 +193,13 @@ def geometric_pairing_matrix(
     entries is a ValueError before anything is built.
     """
     d = _dimension_within_bound(triad)
-    lf_images = basis(triad, side, "lf_image")
-    relatives = basis(triad, side, "relative")
+    check_side(side)
+    comps = compositions(triad.arc_count, triad.points)
     check_homogeneity(triad, system)
-    local_sums = {r: local_intersection_sum(r, system.u)
-                  for r in {r for right in relatives for r in right.composition}}
+    local_sums = {r: local_intersection_sum(r, system.u) for r in {r for e in comps for r in e}}
     zero = system.ring.zero
-    entries = tuple(
-        (zero,) * i
-        + (_class_pairing(left.composition, right.composition, local_sums, system.ring),)
-        + (zero,) * (d - 1 - i)
-        for i, (left, right) in enumerate(zip(lf_images, relatives))
-    )
+    entries = tuple((zero,) * i + (_class_pairing(e, e, local_sums, system.ring),)
+                    + (zero,) * (d - 1 - i) for i, e in enumerate(comps))
     return PairingMatrix(
         triad=triad,
         side=side,

@@ -10,14 +10,14 @@ order.  `element`, `monomial`, `parse` and `from_json_terms` reject exponents
 beyond EXPONENT_BOUND = 2^31 - 1, and `**` rejects powers beyond it (for an element
 with several terms, result exponents too).  Arithmetic is exact while exponents stay
 within +-(2^63 - 1); `*` raises ValueError for a product that would leave that range,
-while the matrix kernels (`sum_of_products`, and the column plans that every matrix
-product goes through) trust their inputs and keep the term order stated in
-`apply_column_plans`.  A product with a one-term factor is one shift and scale.  The
-plan kernel holds a matrix by columns, as lists of term maps: it carries over the
-columns a plan leaves out and decides each entry's kind once per column, not per row;
-over Z and Q products and merges run with Python's operators inline.  Other modules
-see exponents as tuples (`coefficient`, `support`, `items`).  No code mutates an
-element's term map after construction, so elements and term maps are shared freely.
+while the column plans that every matrix product goes through trust their inputs and
+keep the term order stated in `apply_column_plans`.  A product with a one-term factor
+is one shift and scale.  The plan kernel holds a matrix by columns, as lists of term
+maps: it carries over the columns a plan leaves out and decides each entry's kind once
+per column, not per row; over Z and Q products and merges run with Python's operators
+inline.  Other modules see exponents as tuples (`coefficient`, `support`, `items`).  No
+code mutates an element's term map after construction, so elements and term maps are
+shared freely.
 
 Supported coefficient rings k: the integers, the rationals, the integers mod a
 prime, and tolerance-based complex floats.  One flag, `is_exact`, tells them
@@ -107,12 +107,9 @@ class CoefficientRing:
         raise NotImplementedError
 
     def power(self, a, n: int):
-        if n >= 0:
-            result = self.one
-            for _ in range(n):
-                result = self.mul(result, a)
-            return result
-        return self.power(self.invert(a), -n)
+        if n < 0:
+            a, n = self.invert(a), -n
+        return self.coerce(a) ** n
 
     # (sign, magnitude) split used only for printing "a - b" instead of "a + -b"
     def split_sign(self, a):
@@ -169,11 +166,6 @@ class Rationals(CoefficientRing):
         if not a:
             raise ValueError("0 is not a unit of the rationals")
         return Fraction(a.denominator, a.numerator)
-
-    def power(self, a, n: int):
-        if n >= 0:
-            return Fraction(a) ** n
-        return self.power(self.invert(a), -n)
 
     def split_sign(self, a):
         return (-1, -a) if a < 0 else (1, a)
@@ -285,6 +277,14 @@ class ComplexApprox(CoefficientRing):
             raise ValueError("cannot invert a coefficient within tolerance of 0")
         return 1 / a
 
+    def power(self, a, n: int):
+        if n >= 0:
+            result = self.one
+            for _ in range(n):
+                result = self.mul(result, a)
+            return result
+        return self.power(self.invert(a), -n)
+
     def to_str(self, a) -> str:
         return repr(a)
 
@@ -394,10 +394,11 @@ class LaurentRing:
     # -- serialization ------------------------------------------------------
 
     def from_json_terms(self, data: list) -> GroupRingElement:
+        """Read what `to_json_terms` writes; a missing or ill-typed field is a ValueError."""
         k = self.coefficients
-        return self.element(
-            {tuple(item["exponents"]): k.from_str(item["coeff"]) for item in data}
-        )
+        return self.element({tuple(json_list(item.get("exponents"), int, "term field 'exponents'")):
+                             json_coefficient(k, item.get("coeff"), "term field 'coeff'")
+                             for item in json_list(data, dict, "the terms")})
 
     def parse(self, text: str) -> GroupRingElement:
         """Parse the text form that GroupRingElement.to_text prints; terms may repeat.
@@ -449,15 +450,10 @@ class GroupRingElement:
         """(exponent tuple, coefficient) pairs in ascending lex order."""
         return [(self.ring._unpack(e), c) for e, c in sorted(self.terms.items())]
 
-    def _check_context(self, other: GroupRingElement):
-        if self.ring is not other.ring and self.ring != other.ring:
-            raise ValueError(
-                f"ring context mismatch: {self.ring} vs {other.ring}"
-            )
-
     def _coerce_operand(self, other):
         if isinstance(other, GroupRingElement):
-            self._check_context(other)
+            if self.ring is not other.ring and self.ring != other.ring:
+                raise ValueError(f"ring context mismatch: {self.ring} vs {other.ring}")
             return other
         if isinstance(other, (int, Fraction, float, complex)):
             return self.ring.scalar(other)
@@ -717,6 +713,21 @@ def _coefficient(k: CoefficientRing, text: str):
         return None
 
 
+def json_list(value, kind: type, name: str) -> list:
+    """`value`, a list of `kind` read from json; anything else is a ValueError naming it."""
+    if not isinstance(value, list) or not all(isinstance(x, kind) for x in value):
+        raise ValueError(f"{name} must be a list of {kind.__name__}")
+    return value
+
+
+def json_coefficient(k: CoefficientRing, text, name: str):
+    """The coefficient over k that `to_str` wrote as `text`; anything else is a ValueError."""
+    value = _coefficient(k, text) if isinstance(text, str) else None
+    if value is None:
+        raise ValueError(f"{name} must be a coefficient over {k.name} in a string, got {text!r}")
+    return value
+
+
 def _looks_numeric(chunk: str, k: CoefficientRing) -> bool:
     # "-2*x" starts with a numeric factor carrying its own sign; "-x" does not
     return _coefficient(k, chunk.split("*", 1)[0]) is not None
@@ -761,21 +772,6 @@ def _accumulate(k: CoefficientRing, acc: dict, terms: dict) -> dict:
         else:
             acc[e] = s
     return acc
-
-
-def sum_of_products(ring: LaurentRing, pairs) -> GroupRingElement:
-    """Sum of f*g over (f, g) pairs from `ring`; callers check the ring once per matrix.
-
-    Products merge by the term-order rule of `apply_column_plans`.
-    """
-    k = ring.coefficients
-    native = _native(k)
-    acc: dict[int, object] = {}
-    for f, g in pairs:
-        if f.terms and g.terms:
-            product = _product(k, f.terms, g.terms, native)
-            acc = _accumulate(k, acc, product) if acc else product
-    return GroupRingElement(ring, acc)
 
 
 def _native(k: CoefficientRing) -> bool:
@@ -921,7 +917,7 @@ def plan_term_columns(ring: LaurentRing, columns: list, plans) -> list:
 
 
 POWER_BITS_BUDGET = 10**6  # bits of an exact power value^e, estimated before computing it
-POWER_CHAIN_LIMIT = 10**6  # products in a power that `CoefficientRing.power` takes as a chain
+POWER_CHAIN_LIMIT = 10**6  # products in a power that `ComplexApprox.power` takes as a chain
 
 
 def _exponent_limit(target: CoefficientRing, value) -> float:
@@ -929,9 +925,9 @@ def _exponent_limit(target: CoefficientRing, value) -> float:
 
     Over Z and Q, value^e has about |e| * max(bit lengths of the numerator and
     denominator) bits, which may not pass POWER_BITS_BUDGET (0, 1 and -1,
-    whose powers are themselves, have no limit).  Where `target.power` is the
-    chain of |e| products of `CoefficientRing.power` (complex-approx, Z), |e|
-    may not pass POWER_CHAIN_LIMIT either.  F_p takes powers with `pow` and
+    whose powers are themselves, have no limit); they take powers with Python's
+    exact `**`.  Under complex-approx a power is the chain of |e| products,
+    and |e| may not pass POWER_CHAIN_LIMIT.  F_p takes powers with `pow` and
     has no limit.
     """
     limit = float("inf")
@@ -939,7 +935,7 @@ def _exponent_limit(target: CoefficientRing, value) -> float:
         n, d = value.numerator, value.denominator
         if d > 1 or not -1 <= n <= 1:
             limit = POWER_BITS_BUDGET // max(n.bit_length(), d.bit_length())
-    if type(target).power is CoefficientRing.power:
+    if not target.is_exact:
         limit = min(limit, POWER_CHAIN_LIMIT)
     return limit
 
@@ -949,8 +945,8 @@ def specialize_matrix(rows, assignments: dict, target: CoefficientRing) -> list[
 
     The one evaluator at a point, which `linalg` exports.  Once per call: the
     variables are checked, the values coerced and each power value^e computed
-    by `target.power` (by squaring over Q and F_p, left to right under
-    complex-approx); a power whose |e| is past `_exponent_limit` is a
+    by `target.power` (Python's exact `**` over Z and Q, `pow` over F_p, the
+    chain under complex-approx); a power whose |e| is past `_exponent_limit` is a
     ValueError, before any arithmetic.  Rows may have different lengths.
     Each entry keeps one order of float operations: a term is
     coerce(coefficient) times the powers in variable order, and the terms are

@@ -18,9 +18,7 @@ words find them without loading this module, and are exported here too.
 
 from __future__ import annotations
 
-from math import comb
-
-from .compositions import compositions
+from .compositions import compositions, count
 from .ring import LocalSystem, standard_local_system  # noqa: F401 (public here, defined in ring)
 from .values import value_class
 
@@ -113,7 +111,7 @@ class BasisClass:
 
 def dimension(triad: SurfaceTriad) -> int:
     """Common rank of all four modules: C(m + l - 1, m)."""
-    return comb(triad.points + triad.arc_count - 1, triad.points)
+    return count(triad.arc_count, triad.points)
 
 
 def basis(triad: SurfaceTriad, side: str, flavour: str) -> list[BasisClass]:

@@ -5,6 +5,7 @@ import functools
 import io
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -25,7 +26,7 @@ from braidhom.cli import main
 from braidhom.compositions import compositions
 from braidhom.linalg import identity, mat_eq, mat_mul, specialize_matrix
 from braidhom.pairing import delta_pairing
-from braidhom.ring import ComplexApprox, GroupRingElement, sum_of_products
+from braidhom.ring import ComplexApprox, GroupRingElement, Rationals
 from braidhom.surfaces import dimension, standard_local_system
 
 from test_linalg import reference_mat_mul
@@ -255,7 +256,7 @@ def _oracle_inverse(n, i, m):
         powers.append(mat_mul(powers[-1], sigma))
     terms = list(zip([scale * a for a in poly[1:]], powers))
     rows = [
-        [sum_of_products(ring, [(c, power[a][b]) for c, power in terms]) for b in range(len(sigma))]
+        [sum((c * power[a][b] for c, power in terms), ring.zero) for b in range(len(sigma))]
         for a in range(len(sigma))
     ]
     if n > 3:
@@ -597,6 +598,39 @@ def test_relations_survive_generic_specialization():
         for row_l, row_r in zip(lhs, rhs):
             for a, b in zip(row_l, row_r):
                 assert abs(a - b) <= tolerance
+
+
+def _permutation(word: BraidWord) -> tuple[int, ...]:
+    """The permutation of the strands under `word`: sigma_i and its inverse swap i, i + 1."""
+    strands = list(range(word.n))
+    for letter in word.letters:
+        i = abs(letter)
+        strands[i - 1], strands[i] = strands[i], strands[i - 1]
+    return tuple(strands)
+
+
+def _clashes(words, m: int, point: dict) -> int:
+    """How many words have the permutation of an earlier word and another matrix at `point`."""
+    first, clashes = {}, 0
+    for word in words:
+        values = specialize_matrix(evaluate_word(word, m).entries, point, Rationals())
+        clashes += first.setdefault((word.n, _permutation(word)), values) != values
+    return clashes
+
+
+def test_which_specializations_see_only_the_permutation():
+    # Burau at x = 1 and LKB at x = d = 1 are permutation representations; LKB at the
+    # other points is not, and random words with one permutation tell it apart.
+    rng = random.Random(24)
+    words = []
+    for _ in range(150):
+        n = rng.randint(3, 5)
+        words.append(BraidWord(n, tuple(rng.choice((1, -1)) * rng.randint(1, n - 1)
+                                        for _ in range(rng.randint(0, 8)))))
+    assert _clashes(words, 1, {"x": 1}) == 0
+    assert _clashes(words, 2, {"x": 1, "d": 1}) == 0
+    for point in ({"x": 1, "d": Fraction(5, 3)}, {"x": 2, "d": 1}, {"x": -1, "d": 1}):
+        assert _clashes(words, 2, point) > 0, point
 
 
 def test_diagonal_conjugation_is_integral():

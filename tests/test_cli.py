@@ -72,6 +72,27 @@ def test_embed_keeps_a_one_point_system_one_homogeneous(capsys, value):
     assert json.loads(out)["diagonal"] == ["1", "1"]
 
 
+@pytest.mark.parametrize("specialize", [(), ("--specialize", "u=2")])
+def test_embed_enumerates_the_compositions_once(capsys, monkeypatch, specialize):
+    # Every module that took the function by name gets the counting one.  The package
+    # attribute `compositions` is the function, so the module comes from sys.modules.
+    import braidhom.embeddings  # noqa: F401 (loaded so that its binding is patched too)
+
+    original, calls = sys.modules["braidhom.compositions"].compositions, []
+
+    def counting(l, m):
+        calls.append((l, m))
+        return original(l, m)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("braidhom") and getattr(module, "compositions", None) is original:
+            monkeypatch.setattr(module, "compositions", counting)
+    code, out, err = run(capsys, "embed", "--surface", "0,4,0", "--m", "2", *specialize)
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)["diagonal"]) == 6
+    assert calls == [(3, 2)]
+
+
 def test_rep_braid_equal_words_are_byte_identical(capsys):
     _, first, _ = run(capsys, "rep", "--n", "3", "--m", "1", "--word", "1,2,1")
     _, second, _ = run(capsys, "rep", "--n", "3", "--m", "1", "--word", "2,1,2")

@@ -313,6 +313,28 @@ def test_json_round_trip_rationals():
     assert equal(back, c)
 
 
+_RAY = {"base": [0, 0], "step": [1, 1], "pattern": ["1"]}
+
+
+@pytest.mark.parametrize("data, field", [
+    ({"schema": 1}, "'finite'"),
+    ({"schema": 1, "finite": []}, "'rays'"),
+    ({"schema": 1, "finite": [], "rays": [{"base": [0, 0], "pattern": ["1"]}]}, "'step'"),
+    ({"schema": 1, "finite": [], "rays": [{**_RAY, "base": ["0", 0]}]}, "'base'"),
+    ({"schema": 1, "finite": [], "rays": [{**_RAY, "pattern": ["one"]}]}, "'pattern'"),
+    ({"schema": 1, "finite": [], "rays": [{**_RAY, "pattern": [1]}]}, "'pattern'"),
+    ({"schema": 1, "finite": [{"exponents": [0, 0]}], "rays": []}, "'coeff'"),
+    ({"schema": 1, "finite": [{"coeff": "1"}], "rays": []}, "'exponents'"),
+    ({"schema": 1, "finite": {}, "rays": []}, "'finite'"),
+    ([], "schema"),
+    (None, "schema"),
+])
+def test_malformed_completed_json_is_a_value_error_naming_the_field(data, field):
+    # These raised KeyError, AttributeError or TypeError before the reader checked its fields.
+    with pytest.raises(ValueError, match=field):
+        completed_from_json(RING, data)
+
+
 # ---------------------------------------------------------------------------
 # the residue test against the period scan
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Exact matrix helpers: products, involution transpose, inversion, ranks."""
 
 import cmath
+import hashlib
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -362,6 +364,21 @@ def test_invert_unimodular_matrices():
             assert mat_eq(mat_mul(inverse, a), identity(ZZ, size))
 
 
+def test_invert_keeps_its_term_order():
+    # Specializations sum an entry's terms in dict order.  Each entry update adds its
+    # two products in one order, which this digest of a seeded batch freezes.
+    rng = random.Random(24)
+    digest = hashlib.md5()
+    for k in (Integers(), Rationals(), IntegersModP(7)):
+        ring = LaurentRing(2, k, ("x", "d"))
+        for size in (2, 3, 4):
+            for _ in range(8):
+                inverse = invert(random_unimodular(ring, size, rng, steps=10), ring)
+                digest.update(repr([[list(e.terms.items()) for e in row]
+                                    for row in inverse]).encode())
+    assert digest.hexdigest() == "4654497c8c39165229818b858b455f6f"
+
+
 def test_invert_rejects_non_unit_determinant():
     a = as_matrix([[ZZ.one + X, ZZ.zero], [ZZ.zero, ZZ.one]])
     with pytest.raises(ValueError):
@@ -506,11 +523,36 @@ def test_specialization_refuses_powers_past_the_work_budget():
                                  (1.0, ComplexApprox(), POWER_CHAIN_LIMIT)):
         with pytest.raises(ValueError, match=f"past the work budget .* admits \\|e\\| <= {limit} "):
             specialize_matrix(((huge,),), {"x": value}, target)
-    # F_p takes powers with pow, and 0, 1 and -1 are their own powers: no budget.
+    # F_p takes powers with pow, and 0, 1 and -1 are their own powers: no budget, over Z as
+    # over Q.
     p = 1_000_003
     assert specialize_matrix(((huge,),), {"x": 3}, IntegersModP(p)) == [[(pow(3, 2_000_000_000, p) - 1) % p]]
-    for value in (Fraction(1), Fraction(-1), Fraction(0)):
-        assert _power_at(2_000_000_000, value, Rationals()) == value ** 2_000_000_000
+    for value in (1, -1, 0):
+        for target in (Rationals(), Integers()):
+            assert _power_at(2_000_000_000, value, target) == value ** 2_000_000_000
+
+
+def test_an_integer_power_within_the_budget_is_one_exact_power():
+    # 3^500000, about 790,000 bits: Python's ** takes milliseconds, where a chain of
+    # 500,000 products took about 5 s.
+    start = time.perf_counter()
+    assert _power_at(500_000, 3, Integers()) == 3 ** 500_000
+    assert time.perf_counter() - start < 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_integer_and_rational_specializations_agree_at_integer_points(data):
+    # Negative exponents need a unit of Z, so they appear only when x and d are +-1.
+    point = {v: data.draw(st.integers(-4, 4)) for v in ("x", "d")}
+    low = -3 if all(abs(value) == 1 for value in point.values()) else 0
+    entry = st.dictionaries(st.tuples(st.integers(low, 3), st.integers(low, 3)),
+                            st.integers(-9, 9), max_size=4).map(ZZ.element)
+    a = as_matrix(data.draw(st.lists(st.lists(entry, min_size=2, max_size=2), min_size=1,
+                                     max_size=3)))
+    over_z = specialize_matrix(a, point, Integers())
+    assert all(type(value) is int for row in over_z for value in row)
+    assert over_z == specialize_matrix(a, point, Rationals())
 
 
 def test_specialization_at_the_work_budget():

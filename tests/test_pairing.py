@@ -204,7 +204,7 @@ def test_pairings_refuse_a_matrix_past_the_entry_bound_before_building(monkeypat
         raise AssertionError("built")
 
     monkeypatch.setattr(braidhom.pairing, "identity", refuse)
-    monkeypatch.setattr(braidhom.pairing, "basis", refuse)
+    monkeypatch.setattr(braidhom.pairing, "compositions", refuse)
     triad = SurfaceTriad(0, 3, 0, 100000)  # two arcs: d = 100001
     for build in (lambda: delta_pairing(triad, "in"),
                   lambda: geometric_pairing_matrix(triad, "in", standard_local_system(100000))):

@@ -380,11 +380,74 @@ def test_the_grammar_accepts_repeated_variables_signed_exponents_and_ring_coeffi
     assert CA.parse("(1-2j)*x - 0.5") == CA.element({(1,): 1 - 2j, (0,): -0.5})
 
 
+_MUTABLE = "^*+- 0123456789"
+
+
+@st.composite
+def _mutated_texts(draw):
+    """(ring, text): the canonical text of an element over Z or Q with one of its
+    characters among `_MUTABLE` dropped, duplicated or swapped with the next one."""
+    ring = draw(st.sampled_from([ZZ, LaurentRing(2, Rationals(), ("x", "d"))]))
+    coefficient = (st.integers(-12, 12) if ring is ZZ else
+                   st.fractions(min_value=-12, max_value=12, max_denominator=12))
+    terms = draw(st.dictionaries(st.tuples(st.integers(-12, 12), st.integers(-12, 12)),
+                                 coefficient, min_size=1, max_size=4))
+    text = ring.element(terms).to_text()
+    spots = [i for i, c in enumerate(text) if c in _MUTABLE]
+    assume(spots)
+    i = draw(st.sampled_from(spots))
+    edit = draw(st.sampled_from(["drop", "duplicate", "swap"]))
+    if edit == "drop":
+        return ring, text[:i] + text[i + 1:]
+    if edit == "duplicate":
+        return ring, text[:i] + text[i] + text[i:]
+    assume(i + 1 < len(text))
+    return ring, text[:i] + text[i + 1] + text[i] + text[i + 2:]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_mutated_texts())
+def test_the_parser_agrees_with_sympy_or_refuses_a_mutated_text(case):
+    ring, text = case
+    try:
+        parsed = ring.parse(text)
+    except ValueError:
+        return
+    # The grammar reads digits with leading zeros ("x^01", "01*x"), and Python's does not.
+    python_text = re.sub(r"\b0+(?=\d)", "", text)
+    symbols = sympy.symbols(ring.variables)
+    transformations = standard_transformations + (convert_xor,)
+    expected = parse_expr(python_text, dict(zip(ring.variables, symbols)), transformations)
+    assert sympy.expand(_sympy_of(parsed.items(), symbols) - expected) == 0, text
+
+
 def test_json_terms_round_trip():
     rng = random.Random(6)
     for _ in range(100):
         a = random_element(ZZ, rng)
         assert ZZ.from_json_terms(a.to_json_terms()) == a
+
+
+@pytest.mark.parametrize("data, field", [
+    (5, "the terms"),
+    ({"exponents": [0, 0], "coeff": "1"}, "the terms"),
+    ([[0, 0]], "the terms"),
+    ([{"exponents": [0, 0]}], "'coeff'"),
+    ([{"exponents": [0, 0], "coeff": 1}], "'coeff'"),
+    ([{"exponents": [0, 0], "coeff": "1/2"}], "'coeff'"),
+    ([{"coeff": "1"}], "'exponents'"),
+    ([{"exponents": "00", "coeff": "1"}], "'exponents'"),
+    ([{"exponents": [0, 0.5], "coeff": "1"}], "'exponents'"),
+])
+def test_malformed_json_terms_are_a_value_error_naming_the_field(data, field):
+    with pytest.raises(ValueError, match=field):
+        ZZ.from_json_terms(data)
+
+
+def test_a_json_coefficient_the_ring_cannot_read_is_a_value_error():
+    # Fraction("1/0") raises ZeroDivisionError; the reader turns it into a ValueError.
+    with pytest.raises(ValueError, match="'coeff' must be a coefficient over rationals"):
+        LaurentRing(1, Rationals(), ("x",)).from_json_terms([{"exponents": [0], "coeff": "1/0"}])
 
 
 def test_specialization_is_a_homomorphism():
