@@ -12,9 +12,10 @@ classes.
 The public names load their module on first use (PEP 562), so a process
 pays only for the modules it touches.  `braidhom.cli rep` loads `cli`,
 `braid`, `ring`, `compositions` and `values`, and no other module of the
-package: the identity a word starts from, the standard local system and the
-evaluator at a point live in `ring`, and `braid` imports `linalg` and
-`surfaces` only inside the functions that use them.  Every matrix the
+package: the identity a word starts from and the standard local system live
+in `ring`, `braid` imports `linalg` and `surfaces` only inside the functions
+that use them, and only `rep --specialize` loads `fields`, the coefficient
+fields and the evaluator at a point.  Every matrix the
 command line prints goes through one formatter, `ring.matrix_text`, which
 builds the text of each distinct monomial once per matrix.
 """
@@ -36,15 +37,15 @@ _EXPORTS = {
     "compositions": ("compositions", "count", "rank", "unrank"),
     "embeddings": ("EmbeddingMatrix", "InjectivityCertificate", "ReducibilityWitness",
                    "certify_injective", "embedding_matrix", "reducibility_witness"),
+    "fields": ("ComplexApprox", "IntegersModP", "Rationals"),
     "homology": ("FiniteChainComplex", "ModulePresentation", "ShapiroVerdict",
                  "SpecializationPoint", "circle_cohomology", "circle_complex",
                  "complex_from_json", "complex_to_json", "genericity_check",
                  "homology_ranks_at", "shapiro_circle_check", "shapiro_double_cover_check"),
     "pairing": ("PairingMatrix", "closed_form_pairing", "delta_pairing", "geometric_pairing",
                 "geometric_pairing_matrix", "inversions", "local_intersection_sum"),
-    "ring": ("ComplexApprox", "GroupRingElement", "Integers", "IntegersModP", "LaurentRing",
-             "LocalSystem", "Rationals", "exact_divide", "quantum_factorial", "quantum_integer",
-             "standard_local_system"),
+    "ring": ("GroupRingElement", "Integers", "LaurentRing", "LocalSystem", "exact_divide",
+             "quantum_factorial", "quantum_integer", "standard_local_system"),
     "surfaces": ("FLAVOURS", "SIDES", "BasisClass", "SurfaceTriad", "basis", "check_homogeneity",
                  "dimension"),
 }

@@ -22,7 +22,8 @@ from .homology import circle_cohomology, shapiro_circle_check, shapiro_double_co
 from .linalg import identity, mat_alpha, mat_mul, transpose
 from .pairing import (closed_form_pairing, delta_pairing, geometric_pairing_matrix,
                       local_intersection_sum)
-from .ring import Integers, IntegersModP, LaurentRing, Rationals, quantum_factorial
+from .fields import IntegersModP, Rationals
+from .ring import Integers, LaurentRing, quantum_factorial
 from .surfaces import SurfaceTriad, dimension, standard_local_system
 
 

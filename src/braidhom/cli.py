@@ -14,13 +14,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from math import isfinite
 
 # Only what `rep` needs is imported here; every other subcommand imports its
 # own modules, so a cold `braidhom rep` never loads them.
 from .braid import BraidWord, evaluate_word
-from .ring import ComplexApprox, Rationals, matrix_text, specialize_matrix
+from .ring import matrix_text
 
 FORMATS = ("json", "latex", "text")
 
@@ -65,6 +64,8 @@ def _parse_surface(args) -> SurfaceTriad:
 
 
 def _parse_value(text: str):
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -89,6 +90,10 @@ def _parse_assignments(text: str) -> dict:
 
 
 def _field_for(values) -> Rationals | ComplexApprox:
+    from fractions import Fraction
+
+    from .fields import ComplexApprox, Rationals
+
     if all(isinstance(v, Fraction) for v in values):
         return Rationals()
     return ComplexApprox()
@@ -201,6 +206,8 @@ def _cmd_rep(args) -> int:
     if args.specialize is None:
         cells = matrix_text(matrix.entries)
     else:
+        from .fields import specialize_matrix
+
         assignments = _parse_assignments(args.specialize)
         field = _field_for(assignments.values())
         values = specialize_matrix(matrix.entries, assignments, field)
@@ -236,6 +243,7 @@ def _cmd_generic_check(args) -> int:
 
 
 def _cmd_homology(args) -> int:
+    from .fields import Rationals
     from .homology import SpecializationPoint, complex_from_json, homology_ranks_at
 
     with open(args.complex, encoding="utf-8") as handle:

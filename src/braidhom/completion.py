@@ -36,8 +36,9 @@ from itertools import chain
 from math import gcd, lcm
 
 from .compositions import compositions
-from .ring import (EXPONENT_BOUND, GroupRingElement, Integers, IntegersModP, LaurentRing,
-                   json_coefficient, json_list)
+from .fields import IntegersModP
+from .ring import (EXPONENT_BOUND, GroupRingElement, Integers, LaurentRing, json_coefficient,
+                   json_list)
 from .surfaces import SurfaceTriad, check_side, dimension
 from .values import value_class
 

@@ -36,13 +36,13 @@ from __future__ import annotations
 from itertools import chain
 from math import gcd
 
+from .fields import Rationals
 from .linalg import Matrix, as_matrix, rank, specialize_matrix
 from .ring import (
     CoefficientRing,
     GroupRingElement,
     Integers,
     LaurentRing,
-    Rationals,
     exact_divide,
     json_list,
     matrix_text,

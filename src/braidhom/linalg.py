@@ -9,9 +9,9 @@ that chain complexes run on term maps for their composite check; the
 Fraction-free inversion updates each entry with the ring's `*` and `+`; the tests
 keep it as the oracle of the braid layer's closed-form inverses.
 
-`identity` and `specialize_matrix` are ring's own functions, under the same
-names here; the braid layer and the command line take them from ring, so a
-cold `braidhom rep` never loads this module.  The docstring of
+`identity` and `specialize_matrix` are the functions of `ring` and `fields`,
+under the same names here; the braid layer and the command line take them from
+those modules, so a cold `braidhom rep` never loads this one.  The docstring of
 `specialize_matrix` states the order of float operations: it evaluates a
 matrix at a point in one pass, and its rows may be ragged, so a caller can
 specialize only the nonzero entries of a matrix, as chain complexes do.
@@ -27,9 +27,9 @@ from __future__ import annotations
 
 from math import gcd, isfinite, lcm
 
-from .ring import (CoefficientRing, GroupRingElement, Integers, IntegersModP, LaurentRing,
-                   Rationals, apply_column_plans, column_plan, exact_divide, identity,
-                   matrix_width, specialize_matrix)
+from .fields import IntegersModP, Rationals, specialize_matrix
+from .ring import (CoefficientRing, GroupRingElement, Integers, LaurentRing, apply_column_plans,
+                   column_plan, exact_divide, identity, matrix_width)
 
 Matrix = tuple[tuple[GroupRingElement, ...], ...]
 

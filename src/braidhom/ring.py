@@ -19,13 +19,15 @@ inline.  Other modules see exponents as tuples (`coefficient`, `support`, `items
 code mutates an element's term map after construction, so elements and term maps are
 shared freely.
 
-Supported coefficient rings k: the integers, the rationals, the integers mod a
-prime, and tolerance-based complex floats.  One flag, `is_exact`, tells them
-apart: the three exact rings are integral domains, which makes R an integral
-domain as well; this is what the unit and zero-divisor tests rely on.  Complex
-coefficients are honest about rounding: equality means "difference within
-tolerance", and the ill-posed predicates (is_unit, is_non_zero_divisor, exact
-division) refuse to answer.
+Supported coefficient rings k: the integers, defined here, and in `fields` the
+rationals, the integers mod a prime and tolerance-based complex floats.  One
+flag, `is_exact`, tells them apart: the three exact rings are integral domains,
+which makes R an integral domain as well; this is what the unit and zero-divisor
+tests rely on.  Complex coefficients are honest about rounding: equality means
+"difference within tolerance", and the ill-posed predicates (is_unit,
+is_non_zero_divisor, exact division) refuse to answer.  An element takes an int,
+float, complex or Fraction as a scalar; one its coefficients refuse is a
+TypeError in arithmetic and unequal to every element.
 
 The canonical anti-automorphism alpha sends a group element to its inverse,
 i.e. negates every exponent vector; since R is commutative it is a ring
@@ -42,14 +44,18 @@ that text back, and its docstring states the term grammar.
 
 A cold `braidhom rep` needs nothing of the package beyond this module, `braid`,
 `compositions` and `values`, so what a word's evaluation starts from lives here:
-the identity matrix, the standard local system (the (x, d) convention, which
-`surfaces` exports under its public name as well) and the evaluator at a point.
+the identity matrix and the standard local system (the (x, d) convention, which
+`surfaces` exports under its public name as well).  A plain `rep` computes over
+the integers alone, so the other coefficient rings and the evaluator at a point,
+`specialize_matrix`, live in `fields`, which a plain `rep` never loads, and this
+module does not import `fractions`.  This module still resolves those names
+(`braidhom.ring.Rationals` and the like), loading `fields` on first use.
 """
 
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
+import sys
 from functools import cached_property, lru_cache
 
 from .values import value_class
@@ -119,6 +125,12 @@ class CoefficientRing:
         return str(a)
 
     def from_str(self, s: str):
+        """The coefficient that `to_str` writes as `s`; anything but a string is a TypeError."""
+        if not isinstance(s, str):
+            raise TypeError(f"a coefficient is read from a string, got {s!r}")
+        return self._read(s)
+
+    def _read(self, s: str):
         raise NotImplementedError
 
 
@@ -142,154 +154,8 @@ class Integers(CoefficientRing):
     def split_sign(self, a):
         return (-1, -a) if a < 0 else (1, a)
 
-    def from_str(self, s: str):
+    def _read(self, s: str):
         return int(s)
-
-
-@value_class
-class Rationals(CoefficientRing):
-    name = "rationals"
-
-    def coerce(self, value):
-        if type(value) is Fraction:  # immutable, so returned as it is
-            return value
-        if isinstance(value, bool):
-            raise TypeError(f"not a rational: {value!r}")
-        if isinstance(value, (int, Fraction)):
-            return Fraction(value)
-        raise TypeError(f"not a rational: {value!r}")
-
-    def is_unit(self, a) -> bool:
-        return a != 0
-
-    def invert(self, a):
-        if not a:
-            raise ValueError("0 is not a unit of the rationals")
-        return Fraction(a.denominator, a.numerator)
-
-    def split_sign(self, a):
-        return (-1, -a) if a < 0 else (1, a)
-
-    def from_str(self, s: str):
-        return Fraction(s)
-
-
-# Miller-Rabin with the first 13 prime bases is deterministic below the least
-# strong pseudoprime to all of them (Sorenson and Webster, Math. Comp. 86, 2017).
-# The first 12 bases alone pass 318665857834031151167461 = 399165290221 * 798330580441.
-_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_PRIME_BOUND = 3317044064679887385961981
-
-
-def _is_prime(p: int) -> bool:
-    if p >= _PRIME_BOUND:
-        raise ValueError(f"modulus {p} is beyond the primality bound {_PRIME_BOUND}")
-    if p < 2 or any(p % q == 0 for q in _PRIME_BASES):
-        return p in _PRIME_BASES
-    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2^s with d odd
-    for a in _PRIME_BASES:
-        x = pow(a, (p - 1) >> s, p)
-        if x == 1:
-            continue
-        for _ in range(s):
-            if x == p - 1:
-                break
-            x = x * x % p
-        else:
-            return False
-    return True
-
-
-@value_class
-class IntegersModP(CoefficientRing):
-    """The field Z/pZ for a prime p, residues stored in [0, p)."""
-
-    p: int
-    name = "integers-mod-p"
-
-    def __post_init__(self):
-        if not _is_prime(self.p):
-            raise ValueError(f"modulus {self.p} is not prime")
-
-    def coerce(self, value):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise TypeError(f"not an integer: {value!r}")
-        return value % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def is_unit(self, a) -> bool:
-        return a % self.p != 0
-
-    def invert(self, a):
-        if a % self.p == 0:
-            raise ValueError(f"0 is not a unit mod {self.p}")
-        return pow(a, -1, self.p)
-
-    def power(self, a, n: int):
-        if n >= 0:
-            return pow(a, n, self.p)
-        return self.power(self.invert(a), -n)
-
-    def from_str(self, s: str):
-        return int(s) % self.p
-
-
-@value_class
-class ComplexApprox(CoefficientRing):
-    """Complex floats with an explicit comparison tolerance.
-
-    Not an integral domain as far as this package is concerned: rounding makes
-    "is this element a unit / a zero-divisor" ill-posed, so those predicates
-    are refused rather than answered unreliably.
-    """
-
-    tolerance: float = 1e-9
-    name = "complex-approx"
-    is_exact = False
-
-    def __post_init__(self):
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
-
-    def coerce(self, value):
-        if isinstance(value, bool):
-            raise TypeError(f"not a number: {value!r}")
-        if isinstance(value, (int, float, complex, Fraction)):
-            return complex(value)
-        raise TypeError(f"not a number: {value!r}")
-
-    def is_zero(self, a) -> bool:
-        return abs(a) <= self.tolerance
-
-    def is_unit(self, a) -> bool:
-        raise ValueError("is_unit is ill-posed over complex-approx coefficients")
-
-    def invert(self, a):
-        if self.is_zero(a):
-            raise ValueError("cannot invert a coefficient within tolerance of 0")
-        return 1 / a
-
-    def power(self, a, n: int):
-        if n >= 0:
-            result = self.one
-            for _ in range(n):
-                result = self.mul(result, a)
-            return result
-        return self.power(self.invert(a), -n)
-
-    def to_str(self, a) -> str:
-        return repr(a)
-
-    def from_str(self, s: str):
-        return complex(s)
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +288,17 @@ class LaurentRing:
         return _parse_element(self, text)
 
 
+def _is_scalar(value) -> bool:
+    """Whether elements take `value` as a scalar: an int (a bool too), float, complex or Fraction.
+
+    A Fraction exists only once `fractions` is loaded, so the test does not load it.
+    """
+    if isinstance(value, (int, float, complex)):
+        return True
+    fractions = sys.modules.get("fractions")
+    return fractions is not None and isinstance(value, fractions.Fraction)
+
+
 class GroupRingElement:
     """A finitely supported function Z^d -> k, i.e. a sparse Laurent polynomial.
 
@@ -455,7 +332,7 @@ class GroupRingElement:
             if self.ring is not other.ring and self.ring != other.ring:
                 raise ValueError(f"ring context mismatch: {self.ring} vs {other.ring}")
             return other
-        if isinstance(other, (int, Fraction, float, complex)):
+        if _is_scalar(other):
             return self.ring.scalar(other)
         return NotImplemented
 
@@ -524,8 +401,11 @@ class GroupRingElement:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, float, complex)):
-            other = self.ring.scalar(other)
+        if _is_scalar(other):
+            try:
+                other = self.ring.scalar(other)
+            except TypeError:  # a scalar the coefficients refuse; Python then answers False
+                return NotImplemented
         if not isinstance(other, GroupRingElement):
             return NotImplemented
         if self.ring is not other.ring and self.ring != other.ring:
@@ -585,6 +465,8 @@ class GroupRingElement:
         the result lives in the rank-0 Laurent ring over `target`.  Values
         must be invertible in `target` whenever negative exponents occur.
         """
+        from .fields import specialize_matrix
+
         ((total,),) = specialize_matrix([(self,)], assignments, target)
         return GroupRingElement(LaurentRing(0, target), {} if target.is_zero(total) else {0: total})
 
@@ -916,104 +798,6 @@ def plan_term_columns(ring: LaurentRing, columns: list, plans) -> list:
     return columns
 
 
-POWER_BITS_BUDGET = 10**6  # bits of an exact power value^e, estimated before computing it
-POWER_CHAIN_LIMIT = 10**6  # products in a power that `ComplexApprox.power` takes as a chain
-
-
-def _exponent_limit(target: CoefficientRing, value) -> float:
-    """The largest |e| for which `specialize_matrix` computes value^e in `target`.
-
-    Over Z and Q, value^e has about |e| * max(bit lengths of the numerator and
-    denominator) bits, which may not pass POWER_BITS_BUDGET (0, 1 and -1,
-    whose powers are themselves, have no limit); they take powers with Python's
-    exact `**`.  Under complex-approx a power is the chain of |e| products,
-    and |e| may not pass POWER_CHAIN_LIMIT.  F_p takes powers with `pow` and
-    has no limit.
-    """
-    limit = float("inf")
-    if target.is_exact and not isinstance(target, IntegersModP):
-        n, d = value.numerator, value.denominator
-        if d > 1 or not -1 <= n <= 1:
-            limit = POWER_BITS_BUDGET // max(n.bit_length(), d.bit_length())
-    if not target.is_exact:
-        limit = min(limit, POWER_CHAIN_LIMIT)
-    return limit
-
-
-def specialize_matrix(rows, assignments: dict, target: CoefficientRing) -> list[list]:
-    """The value in `target` of every entry of `rows` (all in one ring) at the assignments.
-
-    The one evaluator at a point, which `linalg` exports.  Once per call: the
-    variables are checked, the values coerced and each power value^e computed
-    by `target.power` (Python's exact `**` over Z and Q, `pow` over F_p, the
-    chain under complex-approx); a power whose |e| is past `_exponent_limit` is a
-    ValueError, before any arithmetic.  Rows may have different lengths.
-    Each entry keeps one order of float operations: a term is
-    coerce(coefficient) times the powers in variable order, and the terms are
-    summed in dict order, from target.zero under complex-approx (0j + t can
-    turn a -0.0 part of t into 0.0) and from the first term over an exact
-    target (where 0 + t is t); a total that target.is_zero calls zero, and an
-    entry with no terms, is target.zero.  When the ring's coefficients are
-    exact, the value of a one-term entry is kept per (packed key, coefficient)
-    for the rest of the call; complex coefficients are not, because equal keys
-    such as complex(0.0, 1) and complex(-0.0, 1) are different values.
-    """
-    ring = next((x.ring for row in rows for x in row), None)
-    variables = ring.variables if ring else ()
-    missing = set(variables) - set(assignments)
-    if missing:
-        raise ValueError(f"unassigned variables: {sorted(missing)}")
-    values = [target.coerce(assignments[v]) for v in variables]
-    limits = [_exponent_limit(target, value) for value in values]
-    coerce, add, mul, is_zero, zero = (target.coerce, target.add, target.mul, target.is_zero,
-                                       target.zero)
-    start = None if target.is_exact else zero  # None: the sum starts from its first term
-    powers, factors = {}, {}  # (variable index, e) -> value^e; packed key -> its powers
-    memo = {} if ring and ring.coefficients.is_exact else None  # (key, coeff) -> value
-
-    def power(i, e):
-        if (i, e) not in powers:
-            if abs(e) > limits[i]:
-                raise ValueError(
-                    f"the power {e} of {target.to_str(values[i])} is past the work budget"
-                    f" ({POWER_BITS_BUDGET} bits of an exact result, {POWER_CHAIN_LIMIT}"
-                    f" products in a chain), which admits |e| <= {limits[i]} here")
-            powers[i, e] = target.power(values[i], e)
-        return powers[i, e]
-
-    def evaluate(terms):
-        total = start
-        for key, coeff in terms.items():
-            term = coerce(coeff)
-            pows = factors.get(key)
-            if pows is None:
-                pows = factors[key] = [power(i, e) for i, e in enumerate(ring._unpack(key))]
-            for p in pows:
-                term = mul(term, p)
-            total = term if total is None else add(total, term)
-        return zero if is_zero(total) else total
-
-    out = []
-    for row in rows:
-        out_row = []
-        for x in row:
-            if x.ring is not ring and x.ring != ring:
-                raise ValueError(f"ring context mismatch: {ring} vs {x.ring}")
-            terms = x.terms
-            if not terms:
-                out_row.append(zero)
-            elif memo is not None and len(terms) == 1:
-                (pair,) = terms.items()
-                value = memo.get(pair)
-                if value is None:
-                    value = memo[pair] = evaluate(terms)
-                out_row.append(value)
-            else:
-                out_row.append(evaluate(terms))
-        out.append(out_row)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # exact division
 # ---------------------------------------------------------------------------
@@ -1153,3 +937,21 @@ def quantum_factorial_product(parts, u: GroupRingElement) -> GroupRingElement:
         if not exact or part not in (0, 1):
             result = result * quantum_factorial(part, u)
     return result
+
+
+# ---------------------------------------------------------------------------
+# names that moved to `fields`
+# ---------------------------------------------------------------------------
+
+_FIELD_NAMES = frozenset({"Rationals", "IntegersModP", "ComplexApprox", "POWER_BITS_BUDGET",
+                          "POWER_CHAIN_LIMIT", "specialize_matrix", "_exponent_limit",
+                          "_is_prime", "_PRIME_BASES", "_PRIME_BOUND"})
+
+
+def __getattr__(name):
+    # PEP 562: `braidhom.ring.Rationals` and the like load `fields` on first use.
+    if name not in _FIELD_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import fields
+
+    return getattr(fields, name)

@@ -35,19 +35,25 @@ def test_unknown_attribute_raises():
         exec("from braidhom import not_a_name", {})
 
 
-def test_cold_rep_loads_only_what_it_uses():
-    # A fresh interpreter without site hooks, so only braidhom decides what loads.
+def _cold_rep_modules(argv: list[str]) -> tuple[str, list[str]]:
+    """The exit code of `cli.main(argv)` and the modules loaded, in a fresh interpreter."""
+    # No site hooks, so only braidhom decides what loads.
     src = Path(braidhom.__file__).resolve().parents[1]
     code = (
         f"import sys; sys.path.insert(0, {str(src)!r})\n"
         "from braidhom import cli\n"
-        "code = cli.main(['rep', '--n', '5', '--m', '2', '--word=1,-2,3',"
-        " '--specialize', 'x=1/2,d=3'])\n"
+        f"code = cli.main({argv!r})\n"
         "print(code, *sorted(sys.modules))\n"
     )
     result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                             text=True, check=True)
     code, *modules = result.stdout.splitlines()[-1].split()
+    return code, modules
+
+
+def test_cold_rep_loads_only_what_it_uses():
+    code, modules = _cold_rep_modules(["rep", "--n", "5", "--m", "2", "--word=1,-2,3",
+                                       "--specialize", "x=1/2,d=3"])
     assert code == "0"
     assert "braidhom.braid" in modules
     for absent in ("dataclasses", "inspect", "braidhom.homology", "braidhom.completion",
@@ -55,6 +61,48 @@ def test_cold_rep_loads_only_what_it_uses():
                    "braidhom.linalg", "braidhom.surfaces"):
         assert absent not in modules
 
+
+
+def test_plain_cold_rep_loads_neither_fractions_nor_the_fields():
+    code, modules = _cold_rep_modules(["rep", "--n", "5", "--m", "2", "--word=1,-2,3"])
+    assert code == "0"
+    assert "braidhom.ring" in modules
+    for absent in ("fractions", "decimal", "numbers", "braidhom.fields"):
+        assert absent not in modules
+
+
+MOVED_TO_FIELDS = ("Rationals", "IntegersModP", "ComplexApprox", "POWER_BITS_BUDGET",
+                   "POWER_CHAIN_LIMIT", "specialize_matrix", "_exponent_limit", "_is_prime",
+                   "_PRIME_BASES", "_PRIME_BOUND")
+
+
+@pytest.mark.parametrize("name", MOVED_TO_FIELDS)
+def test_a_moved_name_is_one_object_through_ring_fields_and_the_package(name):
+    import braidhom.fields
+    import braidhom.ring
+
+    value = getattr(braidhom.fields, name)
+    assert getattr(braidhom.ring, name) is value
+    namespace = {}
+    exec(f"from braidhom.ring import {name}", namespace)
+    assert namespace[name] is value
+    if name in ("Rationals", "IntegersModP", "ComplexApprox"):
+        assert getattr(braidhom, name) is value
+
+
+def test_ring_still_refuses_an_unknown_name():
+    import braidhom.ring
+
+    with pytest.raises(AttributeError, match="'braidhom.ring' has no attribute 'not_a_name'"):
+        braidhom.ring.not_a_name  # noqa: B018
+
+
+def test_linalg_exports_the_evaluator_of_fields():
+    # The traced benchmark patches `braidhom.linalg.specialize_matrix` by name.
+    import braidhom.fields
+    import braidhom.linalg
+
+    assert braidhom.linalg.specialize_matrix is braidhom.fields.specialize_matrix
 
 def test_complex_homology_runs_without_numpy(tmp_path):
     from braidhom.homology import circle_complex, complex_to_json

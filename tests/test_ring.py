@@ -450,6 +450,44 @@ def test_a_json_coefficient_the_ring_cannot_read_is_a_value_error():
         LaurentRing(1, Rationals(), ("x",)).from_json_terms([{"exponents": [0], "coeff": "1/0"}])
 
 
+
+@pytest.mark.parametrize("ring, value", [
+    (Integers(), 1.5), (IntegersModP(7), 9.9), (Rationals(), 0.1), (ComplexApprox(), 3),
+])
+def test_from_str_refuses_a_value_that_is_not_a_string(ring, value):
+    # Each was converted: to 1, to 2, to Fraction(3602879701896397, 2**55) and to (3+0j).
+    with pytest.raises(TypeError, match=f"read from a string, got {value!r}"):
+        ring.from_str(value)
+
+
+@pytest.mark.parametrize("scalar", [1.5, Fraction(1, 2), 2j])
+def test_a_scalar_the_coefficients_refuse_is_unequal_not_an_error(scalar):
+    x = ZZ.var("x")
+    assert (x == scalar) is False and (scalar == x) is False
+    assert x != scalar
+    assert [scalar].count(x) == 0
+    with pytest.raises(TypeError, match="not an integer"):
+        x + scalar  # noqa: B018
+    assert (LaurentRing(1, Rationals(), ("x",)).one == 1.5) is False
+
+
+def test_a_scalar_the_coefficients_take_is_compared_by_value():
+    assert LaurentRing(1, Rationals(), ("x",)).scalar(Fraction(1, 2)) == Fraction(1, 2)
+    assert LaurentRing(1, ComplexApprox(), ("x",)).scalar(Fraction(1, 2)) == 0.5
+    assert ZZ.scalar(2) == 2
+
+
+def test_complex_approx_refuses_a_tolerance_that_is_not_finite():
+    # An infinite tolerance made every finite value test as zero.
+    with pytest.raises(ValueError, match="tolerance must be finite"):
+        ComplexApprox(float("inf"))
+
+
+@pytest.mark.parametrize("p", [7.0, "7", True])
+def test_a_modulus_that_is_not_an_int_is_a_type_error(p):
+    with pytest.raises(TypeError, match=re.escape(f"the modulus must be an int, got {p!r}")):
+        IntegersModP(p)
+
 def test_specialization_is_a_homomorphism():
     rng = random.Random(7)
     values = {"x": Fraction(3, 2), "d": Fraction(-5)}
