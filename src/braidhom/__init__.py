@@ -10,14 +10,10 @@ specialized local systems, and the completed group ring with its helix
 classes.
 
 The public names load their module on first use (PEP 562), so a process
-pays only for the modules it touches.  `braidhom.cli rep` loads `cli`,
-`braid`, `ring`, `compositions` and `values`, and no other module of the
-package: the identity a word starts from and the standard local system live
-in `ring`, `braid` imports `linalg` and `surfaces` only inside the functions
-that use them, and only `rep --specialize` loads `fields`, the coefficient
-fields and the evaluator at a point.  Every matrix the
-command line prints goes through one formatter, `ring.matrix_text`, which
-builds the text of each distinct monomial once per matrix.
+pays only for the modules it touches: `braidhom.cli rep` loads `cli`,
+`clitext`, `braid`, `ring`, `compositions` and `values` (and `fields` for
+`--specialize`).  Every matrix the command line prints goes through one
+formatter, `ring.matrix_text`, which builds each monomial's text once per matrix.
 """
 
 from importlib import import_module
@@ -27,27 +23,28 @@ from importlib import import_module
 from .compositions import compositions, count, rank, unrank
 
 _EXPORTS = {
-    "braid": ("BraidWord", "ConjugationCertificate", "RepMatrix", "braid_relations_hold",
-              "diagonal_conjugation_integrality", "disc_triad", "dual_representation",
-              "evaluate_word", "generator_matrix"),
+    "braid": ("BraidWord", "RepMatrix", "braid_relations_hold", "evaluate_word",
+              "generator_matrix"),
     "completion": ("CompletedElement", "CompletedVector", "Ray", "completed_from_json",
                    "completed_to_json", "equal", "helix_class", "include_group_ring",
                    "is_in_group_ring", "is_zero", "left_circle_helix", "module_action",
                    "to_group_ring"),
     "compositions": ("compositions", "count", "rank", "unrank"),
-    "embeddings": ("EmbeddingMatrix", "InjectivityCertificate", "ReducibilityWitness",
-                   "certify_injective", "embedding_matrix", "reducibility_witness"),
+    "embeddings": ("ConjugationCertificate", "EmbeddingMatrix", "InjectivityCertificate",
+                   "ReducibilityWitness", "certify_injective", "diagonal_conjugation_integrality",
+                   "embedding_matrix", "reducibility_witness"),
     "fields": ("ComplexApprox", "IntegersModP", "Rationals"),
     "homology": ("FiniteChainComplex", "ModulePresentation", "ShapiroVerdict",
                  "SpecializationPoint", "circle_cohomology", "circle_complex",
                  "complex_from_json", "complex_to_json", "genericity_check",
                  "homology_ranks_at", "shapiro_circle_check", "shapiro_double_cover_check"),
-    "pairing": ("PairingMatrix", "closed_form_pairing", "delta_pairing", "geometric_pairing",
-                "geometric_pairing_matrix", "inversions", "local_intersection_sum"),
+    "pairing": ("PairingMatrix", "closed_form_pairing", "delta_pairing", "dual_representation",
+                "geometric_pairing", "geometric_pairing_matrix", "inversions",
+                "local_intersection_sum"),
     "ring": ("GroupRingElement", "Integers", "LaurentRing", "LocalSystem", "exact_divide",
-             "quantum_factorial", "quantum_integer", "standard_local_system"),
+             "standard_local_system"),
     "surfaces": ("FLAVOURS", "SIDES", "BasisClass", "SurfaceTriad", "basis", "check_homogeneity",
-                 "dimension"),
+                 "dimension", "disc_triad", "quantum_factorial", "quantum_integer"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -4,9 +4,8 @@ The disc with n marked circles is the triad with g = 0, k = 0, so the
 modules are indexed by compositions of m into n-1 parts, one part per
 consecutive arc.  This module realises the braid action on those modules
 for m = 1 (reduced Burau, over Z[x^{+-1}]) and m = 2 (Lawrence-Krammer-
-Bigelow, over Z[x^{+-1}, d^{+-1}]), together with word evaluation, the
-dual action forced by pairing invariance, and the integrality check for
-conjugation by the quantum-factorial diagonal.
+Bigelow, over Z[x^{+-1}, d^{+-1}]), word evaluation and the braid relations;
+the dual action lives in `pairing`, the conjugation check in `embeddings`.
 
 The local tables.  The half-twist sigma_i moves only points on arc i, as the
 Burau rule does one point at a time.  So the row of a composition e with no
@@ -70,20 +69,20 @@ generators at n <= 4 are frozen in tests/golden/generator_matrices.json.
 Column plans.  A generator moves only the points on one arc, so it leaves
 the basis vectors of every composition with no point there fixed; at n = 6 an
 LKB generator has at most 28 nonzeros out of 225.  Each letter is compiled once
-into a cached column plan (ring.column_plan), which leaves out every column
+into a cached column plan (ring.plan_columns) straight from the nonzero entries
+of its local rows, with no dense matrix built; the plan leaves out every column
 whose only nonzero is a 1 in its own row: at n = 6, sigma_2 lists 12 of its 15
-columns and sigma_1 lists 9.  evaluate_word starts from the identity, whose
-columns are its rows, and keeps the running product by columns of term maps:
-each letter rebuilds only the columns it lists and carries the rest over.
-linalg.mat_mul runs the same kernel, so a word's entries keep the term order of
-a fold of mat_mul (the rule is in ring.apply_column_plans) and specializations
-do not change.  Both sides of the braid relations go through it too.
+columns and sigma_1 lists 9.  It equals ring.column_plan of the dense generator.
+evaluate_word starts from the identity, whose columns are its rows, and keeps
+the running product by columns of term maps: each letter rebuilds only the
+columns it lists and carries the rest over.  linalg.mat_mul runs the same
+kernel, so a word's entries keep the term order of a fold of mat_mul (the rule
+is in ring.apply_column_plans) and specializations do not change.  Both sides
+of the braid relations go through it too.
 
 Imports.  A cold `braidhom rep` loads this module, ring, compositions and values
 only: the identity, the standard local system and the column-plan kernel come
-from ring, while disc_triad, dual_representation, braid_relations_hold and
-diagonal_conjugation_integrality import surfaces, linalg or embeddings inside
-the function.
+from ring, and braid_relations_hold imports linalg inside the function.
 
 Size and caches.  evaluate_word refuses a matrix of more than MAX_ENTRIES =
 10^7 entries before it builds anything: rep --n 3000 --m 1 has 8,994,001
@@ -91,10 +90,9 @@ entries, and n = 80 is the largest LKB size allowed.  The three caches are
 unbounded.  _system has two keys and _table_entry one per table text.
 _letter_plan holds one column plan per (n, letter, m) that a word has used.  A
 plan lists only the columns its letter changes, with O(n^(m-1)) entries in
-all, while the dense generator it was compiled from, with n^(2m) entries
-roughly, is built once and not kept.  So a plan costs far less to keep than it
-cost to build, and the cache grows more slowly than the work that filled it,
-even for a word with many distinct letters at a large n.
+all, and is compiled from the letter's n^m local rows, roughly, with no dense
+generator of n^(2m) entries.  So the cache grows no faster than the work that
+filled it, even for a word with many distinct letters at a large n.
 """
 
 from __future__ import annotations
@@ -102,33 +100,20 @@ from __future__ import annotations
 import functools
 
 from .compositions import compositions, count
-from .ring import (GroupRingElement, apply_column_plans, column_plan, exact_divide, identity,
+from .ring import (GroupRingElement, apply_column_plans, identity, plan_columns,
                    standard_local_system)
 from .values import value_class
 
 __all__ = [
     "BraidWord",
     "RepMatrix",
-    "ConjugationCertificate",
-    "disc_triad",
     "generator_matrix",
     "evaluate_word",
-    "dual_representation",
     "braid_relations_hold",
-    "diagonal_conjugation_integrality",
 ]
 
 _TAGS = {1: "burau/t=x/arc-basis", 2: "lkb/q=x,t=-d/arc-basis"}
 MAX_ENTRIES = 10**7  # the largest matrix evaluate_word builds (module docstring)
-
-
-def disc_triad(n: int, m: int):
-    """The punctured-disc triad (a `surfaces.SurfaceTriad`) for the braid group on n strands."""
-    from .surfaces import SurfaceTriad
-
-    if n < 2:
-        raise ValueError(f"need at least 2 marked circles, got n={n}")
-    return SurfaceTriad(genus=0, inner_circles=n, outer_intervals=0, points=m)
 
 
 @value_class
@@ -223,32 +208,31 @@ def _table_entry(m: int, text: str) -> GroupRingElement:
     return _system(m).ring.parse(text)
 
 
-def _local_rows(n: int, i: int, m: int, table) -> tuple[tuple[GroupRingElement, ...], ...]:
-    ring = _system(m).ring
-    zero, one = ring.zero, ring.one
+def _local_rows(n: int, letter: int, m: int) -> list[dict[int, GroupRingElement]]:
+    """The rows of sigma_letter (of sigma_|letter|^-1 if letter < 0) as {column: nonzero entry}."""
+    i, one = abs(letter), _system(m).ring.one
+    table = _SIGMA if letter > 0 else _SIGMA_INVERSE_N3 if n == 3 else _SIGMA_INVERSE
     basis = compositions(n - 1, m)
     index = {e: r for r, e in enumerate(basis)}
     rows = []
     for r, e in enumerate(basis):
-        row = [zero] * len(basis)
-        if e[i - 1]:
-            padded = (0, *e, 0)
-            for target, text in table[padded[i - 1:i + 2]].items():
-                moved = padded[:i - 1] + target + padded[i + 2:]
-                if moved[0] == moved[-1] == 0:
-                    row[index[moved[1:-1]]] = _table_entry(m, text)
-        else:
-            row[r] = one
-        rows.append(tuple(row))
-    return tuple(rows)
+        if not e[i - 1]:
+            rows.append({r: one})
+            continue
+        padded, row = (0, *e, 0), {}
+        for target, text in table[padded[i - 1:i + 2]].items():
+            moved = padded[:i - 1] + target + padded[i + 2:]
+            if moved[0] == moved[-1] == 0:
+                row[index[moved[1:-1]]] = _table_entry(m, text)
+        rows.append(row)
+    return rows
 
 
-def _generator_entries(n: int, i: int, m: int):
-    return _local_rows(n, i, m, _SIGMA)
-
-
-def _generator_inverse_entries(n: int, i: int, m: int):
-    return _local_rows(n, i, m, _SIGMA_INVERSE_N3 if n == 3 else _SIGMA_INVERSE)
+def _generator_entries(n: int, letter: int, m: int) -> tuple[tuple[GroupRingElement, ...], ...]:
+    """The dense matrix of `_local_rows`: sigma_letter, or sigma_|letter|^-1 if letter < 0."""
+    zero = _system(m).ring.zero
+    rows = _local_rows(n, letter, m)
+    return tuple(tuple(row.get(c, zero) for c in range(len(rows))) for row in rows)
 
 
 def generator_matrix(n: int, i: int, m: int) -> RepMatrix:
@@ -268,9 +252,13 @@ def generator_matrix(n: int, i: int, m: int) -> RepMatrix:
 
 @functools.lru_cache(maxsize=None)
 def _letter_plan(n: int, letter: int, m: int):
-    if letter > 0:
-        return column_plan(_generator_entries(n, letter, m))
-    return column_plan(_generator_inverse_entries(n, -letter, m))
+    """The column plan of the letter's matrix, from the nonzero entries of its local rows."""
+    rows = _local_rows(n, letter, m)
+    columns = [[] for _ in rows]
+    for r, row in enumerate(rows):
+        for c, entry in row.items():
+            columns[c].append((r, entry.terms))
+    return plan_columns(_system(m).ring, len(rows), columns)
 
 
 def evaluate_word(word: BraidWord, m: int) -> RepMatrix:
@@ -293,23 +281,6 @@ def evaluate_word(word: BraidWord, m: int) -> RepMatrix:
     return RepMatrix(n, m, apply_column_plans(start, plans), _TAGS[m])
 
 
-def dual_representation(word: BraidWord, m: int, side: str = "in") -> RepMatrix:
-    """The dual action rho'(beta) = alpha(rho(beta^{-1}))^T.
-
-    Pairing invariance against the identity pairing matrix,
-    alpha(rho(beta))^T . rho'(beta) = 1, holds by construction; `side`
-    labels which half of the pairing carries rho and is recorded in the
-    convention tag.
-    """
-    from .linalg import mat_alpha, transpose
-    from .surfaces import check_side
-
-    check_side(side)
-    base = evaluate_word(word.inverse(), m)
-    entries = transpose(mat_alpha(base.entries))
-    return RepMatrix(word.n, m, entries, f"{_TAGS[m]}/dual-{side}")
-
-
 def braid_relations_hold(n: int, m: int) -> bool:
     """Check both braid relations on all generator matrices for B_n.
 
@@ -330,44 +301,3 @@ def braid_relations_hold(n: int, m: int) -> bool:
             if not mat_eq(times(i, j), times(j, i)):
                 return False
     return True
-
-
-@value_class
-class ConjugationCertificate:
-    """Result of the diagonal conjugation integrality test.
-
-    When `integral` is false, `generator`, `position` and `entry` name one
-    offending matrix entry whose D-conjugate leaves the ring.
-    """
-
-    integral: bool
-    generator: int | None = None
-    position: tuple[int, int] | None = None
-    entry: GroupRingElement | None = None
-
-    def __bool__(self) -> bool:
-        return self.integral
-
-
-def diagonal_conjugation_integrality(n: int, m: int = 2) -> ConjugationCertificate:
-    """Check that D^{-1} rho(sigma_i) D stays in R for every generator.
-
-    D is the embedding diagonal diag(prod [e_i]_u!) of the disc triad; the
-    check divides each entry rho_{ab} D_b by D_a exactly.  For m = 1 the
-    diagonal is the identity and the answer is trivially true.
-    """
-    from .embeddings import embedding_matrix
-
-    system = _system(m)
-    triad = disc_triad(n, m)
-    diagonal = embedding_matrix(triad, "in", system).diagonal
-    for value in diagonal:
-        if value.is_zero():
-            raise ValueError("zero diagonal entry, conjugation undefined")
-    for i in range(1, n):
-        rho = _generator_entries(n, i, m)
-        for a, d_a in enumerate(diagonal):
-            for b, d_b in enumerate(diagonal):
-                if exact_divide(rho[a][b] * d_b, d_a) is None:
-                    return ConjugationCertificate(False, i, (a, b), rho[a][b])
-    return ConjugationCertificate(True)

@@ -12,19 +12,18 @@ from __future__ import annotations
 
 import random
 
-from .braid import (BraidWord, braid_relations_hold, diagonal_conjugation_integrality,
-                    dual_representation, evaluate_word)
+from .braid import BraidWord, braid_relations_hold, evaluate_word
 from .completion import (equal, helix_class, include_group_ring, is_in_group_ring,
                          left_circle_helix, module_action)
 from .compositions import compositions
-from .embeddings import embedding_matrix
+from .embeddings import diagonal_conjugation_integrality, embedding_matrix
 from .homology import circle_cohomology, shapiro_circle_check, shapiro_double_cover_check
 from .linalg import identity, mat_alpha, mat_mul, transpose
-from .pairing import (closed_form_pairing, delta_pairing, geometric_pairing_matrix,
-                      local_intersection_sum)
+from .pairing import (closed_form_pairing, delta_pairing, dual_representation,
+                      geometric_pairing_matrix, local_intersection_sum)
 from .fields import IntegersModP, Rationals
-from .ring import Integers, LaurentRing, quantum_factorial
-from .surfaces import SurfaceTriad, dimension, standard_local_system
+from .ring import Integers, LaurentRing
+from .surfaces import SurfaceTriad, dimension, quantum_factorial, standard_local_system
 
 
 def _check_quantum_factorial() -> str | None:

@@ -10,15 +10,17 @@ factorials: the image of the class at composition e is
 so in the fixed bases the maps are diagonal with entries prod_i [e_i]_u!.
 Injectivity reduces to those entries being non-zero-divisors, and for m > 1
 any non-unit entry witnesses that the image is a proper submodule, i.e. the
-locally finite representations are reducible.
+locally finite representations are reducible.  On the disc the diagonal D
+conjugates every braid generator into the ring (`diagonal_conjugation_integrality`).
 """
 
 from __future__ import annotations
 
-
+from .braid import _system, generator_matrix
 from .compositions import compositions
-from .ring import GroupRingElement, quantum_factorial_product
-from .surfaces import BasisClass, LocalSystem, SurfaceTriad, check_homogeneity
+from .ring import GroupRingElement, exact_divide
+from .surfaces import (BasisClass, LocalSystem, SurfaceTriad, check_homogeneity, disc_triad,
+                       quantum_factorial_product)
 from .values import value_class
 
 DIRECTIONS = ("in", "out")
@@ -140,3 +142,41 @@ def reducibility_witness(
                 image_scalars=embedding.diagonal,
             )
     return None
+
+
+@value_class
+class ConjugationCertificate:
+    """Result of the diagonal conjugation integrality test.
+
+    When `integral` is false, `generator`, `position` and `entry` name one
+    offending matrix entry whose D-conjugate leaves the ring.
+    """
+
+    integral: bool
+    generator: int | None = None
+    position: tuple[int, int] | None = None
+    entry: GroupRingElement | None = None
+
+    def __bool__(self) -> bool:
+        return self.integral
+
+
+def diagonal_conjugation_integrality(n: int, m: int = 2) -> ConjugationCertificate:
+    """Check that D^{-1} rho(sigma_i) D stays in R for every generator.
+
+    D is the embedding diagonal diag(prod [e_i]_u!) of the disc triad; the
+    check divides each entry rho_{ab} D_b by D_a exactly.  For m = 1 the
+    diagonal is the identity and the answer is trivially true.
+    """
+    system = _system(m)  # an m outside {1, 2} is refused before anything else
+    diagonal = embedding_matrix(disc_triad(n, m), "in", system).diagonal
+    for value in diagonal:
+        if value.is_zero():
+            raise ValueError("zero diagonal entry, conjugation undefined")
+    for i in range(1, n):
+        rho = generator_matrix(n, i, m).entries
+        for a, d_a in enumerate(diagonal):
+            for b, d_b in enumerate(diagonal):
+                if exact_divide(rho[a][b] * d_b, d_a) is None:
+                    return ConjugationCertificate(False, i, (a, b), rho[a][b])
+    return ConjugationCertificate(True)

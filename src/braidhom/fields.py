@@ -8,9 +8,8 @@ of a matrix of ring elements, each power within a work budget
 (`POWER_BITS_BUDGET`, `POWER_CHAIN_LIMIT`).
 
 They live apart from `ring` because a plain `braidhom rep` computes over the
-integers alone: it never loads this module, nor `fractions`.  `ring` resolves
-these names too, loading this module on first use, so `from braidhom.ring
-import Rationals` and the like work as well.
+integers alone: it never loads this module, nor `fractions`.  They are
+imported from here (or from the package, for the three rings), not from `ring`.
 """
 
 from __future__ import annotations

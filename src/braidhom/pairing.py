@@ -19,7 +19,8 @@ factors as the product over arcs of per-arc sums, and each arc size r has
 its r! bijections enumerated once (r at most MAX_ARC_POINTS = 9; more is a
 ValueError before any enumeration).  Summing gives prod_i [e_i]_u!, and the
 closed form via quantum factorials is kept as an independent oracle, never
-substituted for the enumeration.
+substituted for the enumeration.  Pairing invariance fixes the dual braid
+action, `dual_representation`.
 """
 
 from __future__ import annotations
@@ -27,11 +28,12 @@ from __future__ import annotations
 from collections import Counter
 from itertools import combinations, permutations
 
+from .braid import BraidWord, RepMatrix, evaluate_word
 from .compositions import compositions
-from .linalg import Matrix, identity
-from .ring import GroupRingElement, LaurentRing, quantum_factorial_product
+from .linalg import Matrix, identity, mat_alpha, transpose
+from .ring import GroupRingElement, LaurentRing
 from .surfaces import (BasisClass, LocalSystem, SurfaceTriad, check_homogeneity, check_side,
-                       dimension)
+                       dimension, quantum_factorial_product)
 from .values import value_class
 
 MAX_ENTRIES = 10**7  # the largest pairing matrix built, as `braid.MAX_ENTRIES` for words
@@ -217,3 +219,17 @@ def closed_form_pairing(
     if left != right:
         return u.ring.zero
     return quantum_factorial_product(left, u)
+
+
+def dual_representation(word: BraidWord, m: int, side: str = "in") -> RepMatrix:
+    """The dual action rho'(beta) = alpha(rho(beta^{-1}))^T.
+
+    Pairing invariance against the identity pairing matrix,
+    alpha(rho(beta))^T . rho'(beta) = 1, holds by construction; `side`
+    labels which half of the pairing carries rho and is recorded in the
+    convention tag.
+    """
+    check_side(side)
+    base = evaluate_word(word.inverse(), m)
+    entries = transpose(mat_alpha(base.entries))
+    return RepMatrix(word.n, m, entries, f"{base.convention}/dual-{side}")

@@ -27,14 +27,12 @@ tests rely on.  Complex coefficients are honest about rounding: equality means
 "difference within tolerance", and the ill-posed predicates (is_unit,
 is_non_zero_divisor, exact division) refuse to answer.  An element takes an int,
 float, complex or Fraction as a scalar; one its coefficients refuse is a
-TypeError in arithmetic and unequal to every element.
+TypeError in arithmetic and unequal to every element.  A bool is no scalar:
+arithmetic with one is a TypeError and an element never equals one.
 
 The canonical anti-automorphism alpha sends a group element to its inverse,
 i.e. negates every exponent vector; since R is commutative it is a ring
-involution.  Quantum integers [n]_u = 1 + u + ... + u^(n-1) and their
-factorials live here too, because they are plain ring elements once u is
-chosen; over exact coefficients a product of factorials skips the factors
-[0]_u! = [1]_u! = 1.
+involution.
 
 Text.  `matrix_text` is the one formatter from elements to text: it prints a
 matrix, builds each monomial's text once per call and leaves the sign split
@@ -42,14 +40,14 @@ and the printing of a coefficient to its ring (`split_sign`, `to_str`);
 `GroupRingElement.to_text` is it on one element.  `LaurentRing.parse` reads
 that text back, and its docstring states the term grammar.
 
-A cold `braidhom rep` needs nothing of the package beyond this module, `braid`,
-`compositions` and `values`, so what a word's evaluation starts from lives here:
-the identity matrix and the standard local system (the (x, d) convention, which
-`surfaces` exports under its public name as well).  A plain `rep` computes over
-the integers alone, so the other coefficient rings and the evaluator at a point,
-`specialize_matrix`, live in `fields`, which a plain `rep` never loads, and this
-module does not import `fractions`.  This module still resolves those names
-(`braidhom.ring.Rationals` and the like), loading `fields` on first use.
+Imports.  A cold `braidhom rep` needs nothing of the package beyond this module,
+`braid`, `compositions` and `values` (and the command line's own two modules), so
+what a word's evaluation starts from lives here: the identity matrix and the
+standard local system (the (x, d) convention, which `surfaces` exports under its
+public name as well).  A plain `rep` computes over the integers alone, so the
+other coefficient rings and the evaluator at a point, `specialize_matrix`, live
+in `fields`, and the quantum integers and factorials in `surfaces`; a plain `rep`
+loads neither, and this module does not import `fractions`.
 """
 
 from __future__ import annotations
@@ -289,12 +287,12 @@ class LaurentRing:
 
 
 def _is_scalar(value) -> bool:
-    """Whether elements take `value` as a scalar: an int (a bool too), float, complex or Fraction.
+    """Whether elements take `value` as a scalar: an int (not a bool), float, complex or Fraction.
 
     A Fraction exists only once `fractions` is loaded, so the test does not load it.
     """
     if isinstance(value, (int, float, complex)):
-        return True
+        return not isinstance(value, bool)
     fractions = sys.modules.get("fractions")
     return fractions is not None and isinstance(value, fractions.Fraction)
 
@@ -457,18 +455,6 @@ class GroupRingElement:
             raise ValueError(f"not a unit: {self}")
         ((key, coeff),) = self.terms.items()
         return GroupRingElement(self.ring, {-key: self.ring.coefficients.invert(coeff)})
-
-    def specialize(self, assignments: dict, target: CoefficientRing) -> GroupRingElement:
-        """Substitute a numeric value for every variable (`specialize_matrix` on one entry).
-
-        `assignments` maps variable names to values coercible into `target`;
-        the result lives in the rank-0 Laurent ring over `target`.  Values
-        must be invertible in `target` whenever negative exponents occur.
-        """
-        from .fields import specialize_matrix
-
-        ((total,),) = specialize_matrix([(self,)], assignments, target)
-        return GroupRingElement(LaurentRing(0, target), {} if target.is_zero(total) else {0: total})
 
     # -- printing and parsing -------------------------------------------------
 
@@ -890,68 +876,3 @@ def standard_local_system(m: int, coefficients=None) -> LocalSystem:
         return LocalSystem(ring, ring.one)
     ring = LaurentRing(2, coefficients, ("x", "d"))
     return LocalSystem(ring, ring.var("d"))
-
-
-# ---------------------------------------------------------------------------
-# quantum integers and factorials
-# ---------------------------------------------------------------------------
-
-def quantum_integer(n: int, u: GroupRingElement) -> GroupRingElement:
-    """[n]_u = 1 + u + u^2 + ... + u^(n-1), defined for n >= 1."""
-    if n < 1:
-        raise ValueError(f"quantum integers are defined for n >= 1, got {n}")
-    total = u.ring.one
-    power = u.ring.one
-    for _ in range(n - 1):
-        power = power * u
-        total = total + power
-    return total
-
-
-def quantum_factorial(n: int, u: GroupRingElement) -> GroupRingElement:
-    """[n]_u! = [1]_u [2]_u ... [n]_u, with the empty-product convention [0]_u! = 1.
-
-    The n = 0 case is what makes compositions with zero parts contribute a
-    factor 1 to diagonal embedding entries.
-    """
-    if n < 0:
-        raise ValueError(f"quantum factorials are defined for n >= 0, got {n}")
-    result = u.ring.one
-    for j in range(2, n + 1):
-        result = result * quantum_integer(j, u)
-    return result
-
-
-def quantum_factorial_product(parts, u: GroupRingElement) -> GroupRingElement:
-    """prod_i [e_i]_u! over the parts e_i of a composition, multiplied left to right.
-
-    This is the diagonal entry of an embedding matrix and the closed form of
-    the geometric pairing of a class with itself.  Over an exact ring a part
-    of 0 or 1 is skipped: its factor [0]_u! = [1]_u! = 1 changes no term of the
-    product.  Under complex-approx every factor is multiplied in, because a
-    product with 1 can turn a -0.0 imaginary part into 0.0.
-    """
-    exact = u.ring.coefficients.is_exact
-    result = u.ring.one
-    for part in parts:
-        if not exact or part not in (0, 1):
-            result = result * quantum_factorial(part, u)
-    return result
-
-
-# ---------------------------------------------------------------------------
-# names that moved to `fields`
-# ---------------------------------------------------------------------------
-
-_FIELD_NAMES = frozenset({"Rationals", "IntegersModP", "ComplexApprox", "POWER_BITS_BUDGET",
-                          "POWER_CHAIN_LIMIT", "specialize_matrix", "_exponent_limit",
-                          "_is_prime", "_PRIME_BASES", "_PRIME_BOUND"})
-
-
-def __getattr__(name):
-    # PEP 562: `braidhom.ring.Rationals` and the like load `fields` on first use.
-    if name not in _FIELD_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import fields
-
-    return getattr(fields, name)

@@ -14,12 +14,16 @@ The lf_image flavour labels the image of a relative class inside the
 locally finite module on the other side, written with a tilde in print.
 `LocalSystem` and `standard_local_system` are defined in `ring`, where braid
 words find them without loading this module, and are exported here too.
+
+The braid group's punctured disc is `disc_triad`.  The quantum integers
+[n]_u = 1 + u + ... + u^(n-1) of a system's swap unit u and their factorials,
+of which the embedding diagonals and pairings are products, live here too.
 """
 
 from __future__ import annotations
 
 from .compositions import compositions, count
-from .ring import LocalSystem, standard_local_system  # noqa: F401 (public here, defined in ring)
+from .ring import GroupRingElement, LocalSystem, standard_local_system  # noqa: F401 (public here)
 from .values import value_class
 
 SIDES = ("in", "out")
@@ -109,6 +113,13 @@ class BasisClass:
         return f"{self.symbol}[{parts}]@{self.side}"
 
 
+def disc_triad(n: int, m: int) -> SurfaceTriad:
+    """The punctured-disc triad for the braid group on n strands."""
+    if n < 2:
+        raise ValueError(f"need at least 2 marked circles, got n={n}")
+    return SurfaceTriad(genus=0, inner_circles=n, outer_intervals=0, points=m)
+
+
 def dimension(triad: SurfaceTriad) -> int:
     """Common rank of all four modules: C(m + l - 1, m)."""
     return count(triad.arc_count, triad.points)
@@ -130,3 +141,68 @@ def check_homogeneity(triad: SurfaceTriad, system: LocalSystem):
     """Enforce the m = 1 convention: no swap loops, so u must be 1."""
     if triad.points == 1 and system.u != system.ring.one:
         raise ValueError("a one-point system is 1-homogeneous; u must equal 1")
+
+
+# ---------------------------------------------------------------------------
+# quantum integers and factorials
+# ---------------------------------------------------------------------------
+
+def quantum_integer(n: int, u: GroupRingElement) -> GroupRingElement:
+    """[n]_u = 1 + u + u^2 + ... + u^(n-1), defined for n >= 1."""
+    if n < 1:
+        raise ValueError(f"quantum integers are defined for n >= 1, got {n}")
+    total = u.ring.one
+    power = u.ring.one
+    for _ in range(n - 1):
+        power = power * u
+        total = total + power
+    return total
+
+
+def quantum_factorial(n: int, u: GroupRingElement) -> GroupRingElement:
+    """[n]_u! = [1]_u [2]_u ... [n]_u, with the empty-product convention [0]_u! = 1.
+
+    The n = 0 case is what makes compositions with zero parts contribute a
+    factor 1 to diagonal embedding entries.
+    """
+    if n < 0:
+        raise ValueError(f"quantum factorials are defined for n >= 0, got {n}")
+    result = u.ring.one
+    for j in range(2, n + 1):
+        result = result * quantum_integer(j, u)
+    return result
+
+
+def quantum_factorial_product(parts, u: GroupRingElement) -> GroupRingElement:
+    """prod_i [e_i]_u! over the parts e_i of a composition, multiplied left to right.
+
+    This is the diagonal entry of an embedding matrix and the closed form of
+    the geometric pairing of a class with itself.  Over an exact ring a part
+    of 0 or 1 is skipped: its factor [0]_u! = [1]_u! = 1 changes no term of the
+    product.  Under complex-approx every factor is multiplied in, because a
+    product with 1 can turn a -0.0 imaginary part into 0.0.
+    """
+    exact = u.ring.coefficients.is_exact
+    result = u.ring.one
+    for part in parts:
+        if not exact or part not in (0, 1):
+            result = result * quantum_factorial(part, u)
+    return result
+
+
+# ---------------------------------------------------------------------------
+# names that moved to `fields`
+# ---------------------------------------------------------------------------
+
+_FIELD_NAMES = frozenset({"Rationals", "IntegersModP", "ComplexApprox", "POWER_BITS_BUDGET",
+                          "POWER_CHAIN_LIMIT", "specialize_matrix", "_exponent_limit",
+                          "_is_prime", "_PRIME_BASES", "_PRIME_BOUND"})
+
+
+def __getattr__(name):
+    # PEP 562: `braidhom.ring.Rationals` and the like load `fields` on first use.
+    if name not in _FIELD_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import fields
+
+    return getattr(fields, name)

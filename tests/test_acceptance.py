@@ -13,21 +13,7 @@ from math import comb, pi
 
 import cmath
 
-from braidhom.braid import (
-    BraidWord,
-    braid_relations_hold,
-    diagonal_conjugation_integrality,
-    disc_triad,
-    dual_representation,
-    evaluate_word,
-    generator_matrix,
-)
-from braidhom.compositions import compositions
-from braidhom.embeddings import (
-    certify_injective,
-    embedding_matrix,
-    reducibility_witness,
-)
+from braidhom.braid import BraidWord, braid_relations_hold, evaluate_word, generator_matrix
 from braidhom.completion import (
     equal,
     helix_class,
@@ -37,6 +23,14 @@ from braidhom.completion import (
     left_circle_helix,
     module_action,
 )
+from braidhom.compositions import compositions
+from braidhom.embeddings import (
+    certify_injective,
+    diagonal_conjugation_integrality,
+    embedding_matrix,
+    reducibility_witness,
+)
+from braidhom.fields import ComplexApprox, IntegersModP, Rationals
 from braidhom.homology import (
     SpecializationPoint,
     circle_cohomology,
@@ -48,21 +42,17 @@ from braidhom.linalg import identity, mat_alpha, mat_eq, mat_mul, transpose
 from braidhom.pairing import (
     closed_form_pairing,
     delta_pairing,
+    dual_representation,
     geometric_pairing,
 )
-from braidhom.ring import (
-    ComplexApprox,
-    Integers,
-    IntegersModP,
-    LaurentRing,
-    Rationals,
-    quantum_factorial,
-)
+from braidhom.ring import Integers, LaurentRing
 from braidhom.surfaces import (
     LocalSystem,
     SurfaceTriad,
     basis,
     dimension,
+    disc_triad,
+    quantum_factorial,
     standard_local_system,
 )
 

@@ -13,21 +13,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from braidhom import braid, linalg
-from braidhom.braid import (
-    BraidWord,
-    braid_relations_hold,
-    diagonal_conjugation_integrality,
-    disc_triad,
-    dual_representation,
-    evaluate_word,
-    generator_matrix,
-)
+from braidhom.braid import BraidWord, braid_relations_hold, evaluate_word, generator_matrix
 from braidhom.cli import main
 from braidhom.compositions import compositions
+from braidhom.embeddings import diagonal_conjugation_integrality
+from braidhom.fields import ComplexApprox, Rationals
 from braidhom.linalg import identity, mat_eq, mat_mul, specialize_matrix
-from braidhom.pairing import delta_pairing
-from braidhom.ring import ComplexApprox, GroupRingElement, Rationals
-from braidhom.surfaces import dimension, standard_local_system
+from braidhom.pairing import delta_pairing, dual_representation
+from braidhom.ring import GroupRingElement, column_plan
+from braidhom.surfaces import dimension, disc_triad, standard_local_system
 
 from test_linalg import reference_mat_mul
 
@@ -115,7 +109,7 @@ def test_closed_form_inverses_match_the_elimination_oracle(m, strands):
         ring = generator_matrix(n, 1, m).ring
         for i in range(1, n):
             oracle = linalg.invert(generator_matrix(n, i, m).entries, ring)
-            inverse = braid._generator_inverse_entries(n, i, m)
+            inverse = braid._generator_entries(n, -i, m)
             assert mat_eq(inverse, oracle), (n, i)
             assert _term_lists(inverse) == _term_lists(oracle), (n, i)
 
@@ -265,13 +259,24 @@ def _oracle_inverse(n, i, m):
     return linalg.as_matrix(rows)
 
 
+@pytest.mark.parametrize("m", [1, 2])
+def test_letter_plans_are_the_column_plans_of_the_dense_generators(m):
+    # A letter's plan is compiled from its local rows; repr compares term order too.
+    for n in range(2, 13):
+        for i in range(1, n):
+            for letter in (i, -i):
+                dense = braid._generator_entries(n, letter, m)
+                assert repr(braid._letter_plan(n, letter, m)) == repr(column_plan(dense)), (
+                    n, letter)
+
+
 @pytest.mark.parametrize("m, strands", [(1, range(2, 13)), (2, range(2, 13))])
 def test_local_tables_match_the_corner_sum_oracle(m, strands):
     for n in strands:
         for i in range(1, n):
             sigma = braid._generator_entries(n, i, m)
             assert _term_lists(sigma) == _term_lists(_oracle_generator(n, i, m)), (n, i)
-            inverse = braid._generator_inverse_entries(n, i, m)
+            inverse = braid._generator_entries(n, -i, m)
             assert _term_lists(inverse) == _term_lists(_oracle_inverse(n, i, m)), (n, i)
 
 
@@ -301,11 +306,7 @@ def _reference_word(word, m):
     n = word.n
     product = identity(generator_matrix(n, 1, m).ring, generator_matrix(n, 1, m).size)
     for letter in word.letters:
-        if letter > 0:
-            factor = braid._generator_entries(n, letter, m)
-        else:
-            factor = braid._generator_inverse_entries(n, -letter, m)
-        product = reference_mat_mul(product, factor)
+        product = reference_mat_mul(product, braid._generator_entries(n, letter, m))
     return product
 
 

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidhom import completion
-from braidhom.braid import disc_triad
 from braidhom.completion import (
     RAY_DIRECTIONS,
     SCAN_BUDGET,
@@ -27,7 +26,9 @@ from braidhom.completion import (
     to_group_ring,
 )
 from braidhom.compositions import compositions
-from braidhom.ring import EXPONENT_BOUND, Integers, IntegersModP, LaurentRing, Rationals
+from braidhom.fields import IntegersModP, Rationals
+from braidhom.ring import EXPONENT_BOUND, Integers, LaurentRing
+from braidhom.surfaces import disc_triad
 
 RING = LaurentRing(2, Integers(), ("y", "z"))
 Y = RING.var("y")

@@ -8,18 +8,14 @@ from braidhom.embeddings import (
     embedding_matrix,
     reducibility_witness,
 )
+from braidhom.fields import ComplexApprox, IntegersModP, Rationals
 from braidhom.pairing import local_intersection_sum
-from braidhom.ring import (
-    ComplexApprox,
-    IntegersModP,
-    LaurentRing,
-    Rationals,
-    quantum_factorial,
-)
+from braidhom.ring import LaurentRing
 from braidhom.surfaces import (
     LocalSystem,
     SurfaceTriad,
     dimension,
+    quantum_factorial,
     standard_local_system,
 )
 

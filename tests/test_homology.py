@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidhom.braid import disc_triad
+from braidhom.fields import ComplexApprox, IntegersModP, Rationals
 from braidhom.homology import (
     FiniteChainComplex,
     SpecializationPoint,
@@ -22,14 +22,8 @@ from braidhom.homology import (
     shapiro_double_cover_check,
 )
 from braidhom.linalg import invert, mat_mul, rank, specialize_matrix
-from braidhom.ring import (
-    ComplexApprox,
-    Integers,
-    IntegersModP,
-    LaurentRing,
-    Rationals,
-)
-from braidhom.surfaces import LocalSystem, SurfaceTriad, standard_local_system
+from braidhom.ring import Integers, LaurentRing
+from braidhom.surfaces import LocalSystem, SurfaceTriad, disc_triad, standard_local_system
 
 from test_linalg import random_unimodular
 

@@ -71,6 +71,34 @@ def test_plain_cold_rep_loads_neither_fractions_nor_the_fields():
         assert absent not in modules
 
 
+def test_plain_cold_rep_loads_its_own_path_and_never_the_other_handlers():
+    code, modules = _cold_rep_modules(["rep", "--n", "5", "--m", "2", "--word=1,-2,3"])
+    assert code == "0"
+    assert {m for m in modules if m.startswith("braidhom")} == {
+        "braidhom", "braidhom.cli", "braidhom.clitext", "braidhom.braid", "braidhom.ring",
+        "braidhom.compositions", "braidhom.values"}
+
+
+def test_another_subcommand_loads_the_handlers_once_under_python_m():
+    # Under `python -m braidhom.cli` the command line runs as __main__; the handler
+    # module must not import it again under its own name.
+    src = Path(braidhom.__file__).resolve().parents[1]
+    code = (
+        f"import runpy, sys; sys.path.insert(0, {str(src)!r})\n"
+        "sys.argv = ['braidhom', 'basis', '--surface', '0,3,0', '--m', '1']\n"
+        "try:\n"
+        "    runpy.run_module('braidhom.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exit_:\n"
+        "    print(exit_.code, *sorted(sys.modules))\n"
+    )
+    result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                            text=True, check=True)
+    exit_code, *modules = result.stdout.splitlines()[-1].split()
+    assert exit_code == "0"
+    assert "braidhom.commands" in modules
+    assert "braidhom.cli" not in modules
+
+
 MOVED_TO_FIELDS = ("Rationals", "IntegersModP", "ComplexApprox", "POWER_BITS_BUDGET",
                    "POWER_CHAIN_LIMIT", "specialize_matrix", "_exponent_limit", "_is_prime",
                    "_PRIME_BASES", "_PRIME_BOUND")
@@ -78,13 +106,14 @@ MOVED_TO_FIELDS = ("Rationals", "IntegersModP", "ComplexApprox", "POWER_BITS_BUD
 
 @pytest.mark.parametrize("name", MOVED_TO_FIELDS)
 def test_a_moved_name_is_one_object_through_ring_fields_and_the_package(name):
+    # `ring` no longer resolves the names that moved to `fields`.
     import braidhom.fields
     import braidhom.ring
 
     value = getattr(braidhom.fields, name)
-    assert getattr(braidhom.ring, name) is value
+    assert not hasattr(braidhom.ring, name)
     namespace = {}
-    exec(f"from braidhom.ring import {name}", namespace)
+    exec(f"from braidhom.fields import {name}", namespace)
     assert namespace[name] is value
     if name in ("Rationals", "IntegersModP", "ComplexApprox"):
         assert getattr(braidhom, name) is value

@@ -15,12 +15,13 @@ from braidhom.pairing import (
     inversions,
     local_intersection_sum,
 )
-from braidhom.ring import Integers, LaurentRing, quantum_factorial
+from braidhom.ring import Integers, LaurentRing
 from braidhom.surfaces import (
     BasisClass,
     SurfaceTriad,
     basis,
     dimension,
+    quantum_factorial,
     standard_local_system,
 )
 

@@ -1,6 +1,7 @@
 """Laurent ring arithmetic, the involution, units, division, q-analogs."""
 
 import math
+import operator
 import random
 import re
 import time
@@ -13,19 +14,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy.parsing.sympy_parser import convert_xor, parse_expr, standard_transformations
 
-from braidhom.ring import (
-    EXPONENT_BOUND,
-    ComplexApprox,
-    Integers,
-    IntegersModP,
-    LaurentRing,
-    Rationals,
-    exact_divide,
-    matrix_text,
-    quantum_factorial,
-    quantum_factorial_product,
-    quantum_integer,
-)
+from braidhom.fields import ComplexApprox, IntegersModP, Rationals, specialize_matrix
+from braidhom.ring import EXPONENT_BOUND, Integers, LaurentRing, exact_divide, matrix_text
+from braidhom.surfaces import quantum_factorial, quantum_factorial_product, quantum_integer
 
 ZZ = LaurentRing(2, Integers(), ("x", "d"))
 
@@ -477,6 +468,21 @@ def test_a_scalar_the_coefficients_take_is_compared_by_value():
     assert ZZ.scalar(2) == 2
 
 
+@pytest.mark.parametrize("k", [Integers(), Rationals(), IntegersModP(7), ComplexApprox()],
+                         ids=["ZZ", "QQ", "F7", "CC"])
+@pytest.mark.parametrize("flag", [True, False])
+def test_a_bool_is_no_scalar(k, flag):
+    # Every ring's coerce refuses a bool, so elements do not take one as a scalar at all.
+    x = LaurentRing(1, k, ("x",)).var("x")
+    for op in (operator.add, operator.sub, operator.mul):
+        for left, right in ((x, flag), (flag, x)):
+            with pytest.raises(TypeError, match="unsupported operand"):
+                op(left, right)
+    one = x.ring.one
+    assert (one == flag) is False and (flag == one) is False and one != flag
+    assert (x.ring.zero == flag) is False
+
+
 def test_complex_approx_refuses_a_tolerance_that_is_not_finite():
     # An infinite tolerance made every finite value test as zero.
     with pytest.raises(ValueError, match="tolerance must be finite"):
@@ -488,6 +494,12 @@ def test_a_modulus_that_is_not_an_int_is_a_type_error(p):
     with pytest.raises(TypeError, match=re.escape(f"the modulus must be an int, got {p!r}")):
         IntegersModP(p)
 
+def _value_at(element, assignments, target):
+    """The value of one element at a point: `specialize_matrix` on a 1x1 matrix."""
+    ((value,),) = specialize_matrix([[element]], assignments, target)
+    return value
+
+
 def test_specialization_is_a_homomorphism():
     rng = random.Random(7)
     values = {"x": Fraction(3, 2), "d": Fraction(-5)}
@@ -495,18 +507,16 @@ def test_specialization_is_a_homomorphism():
     for _ in range(100):
         a = random_element(ZZ, rng)
         b = random_element(ZZ, rng)
-        assert (a + b).specialize(values, target) == a.specialize(
-            values, target
-        ) + b.specialize(values, target)
-        assert (a * b).specialize(values, target) == a.specialize(
-            values, target
-        ) * b.specialize(values, target)
+        assert _value_at(a + b, values, target) == (_value_at(a, values, target)
+                                                    + _value_at(b, values, target))
+        assert _value_at(a * b, values, target) == (_value_at(a, values, target)
+                                                    * _value_at(b, values, target))
 
 
 def test_specialization_needs_units_for_negative_exponents():
     x = ZZ.var("x")
     with pytest.raises(ValueError):
-        (x ** -1).specialize({"x": 0, "d": 1}, Rationals())
+        _value_at(x ** -1, {"x": 0, "d": 1}, Rationals())
 
 
 def test_huge_exponents_over_a_prime_field_are_powers_by_squaring():
@@ -515,7 +525,7 @@ def test_huge_exponents_over_a_prime_field_are_powers_by_squaring():
     line = LaurentRing(1, Integers(), ("x",))
     k = IntegersModP(p)
     for e in (2_000_000_000, -2_000_000_000):
-        value = line.monomial((e,)).specialize({"x": 5}, k).coefficient(())
+        value = _value_at(line.monomial((e,)), {"x": 5}, k)
         assert value == pow(5, e, p)
     assert k.power(5, EXPONENT_BOUND) == pow(5, EXPONENT_BOUND, p)
 
@@ -538,7 +548,7 @@ def test_complex_powers_stay_the_left_to_right_chain():
         for _ in range(abs(e)):
             chain = chain * factor
         assert repr(k.power(x, e)) == repr(chain)
-        value = line.monomial((e,)).specialize({"x": x}, k).coefficient(())
+        value = _value_at(line.monomial((e,)), {"x": x}, k)
         assert repr(value) == repr(0j + complex(1) * chain)
 
 

@@ -5,7 +5,8 @@ from math import comb
 import pytest
 
 from braidhom.compositions import compositions
-from braidhom.ring import IntegersModP, LaurentRing
+from braidhom.fields import IntegersModP
+from braidhom.ring import LaurentRing
 from braidhom.surfaces import (
     FLAVOURS,
     SIDES,

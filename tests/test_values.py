@@ -4,15 +4,21 @@ import json
 
 import pytest
 
-from braidhom.braid import BraidWord, ConjugationCertificate, RepMatrix, evaluate_word
+from braidhom.braid import BraidWord, RepMatrix, evaluate_word
 from braidhom.cli import main
 from braidhom.completion import CompletedElement, CompletedVector, Ray, _Line, helix_class
-from braidhom.embeddings import (EmbeddingMatrix, InjectivityCertificate, ReducibilityWitness,
-                                 embedding_matrix)
+from braidhom.embeddings import (
+    ConjugationCertificate,
+    EmbeddingMatrix,
+    InjectivityCertificate,
+    ReducibilityWitness,
+    embedding_matrix,
+)
+from braidhom.fields import ComplexApprox, IntegersModP, Rationals
 from braidhom.homology import (FiniteChainComplex, ModulePresentation, ShapiroVerdict,
                                SpecializationPoint)
 from braidhom.pairing import PairingMatrix, delta_pairing
-from braidhom.ring import ComplexApprox, Integers, IntegersModP, LaurentRing, Rationals
+from braidhom.ring import Integers, LaurentRing
 from braidhom.surfaces import BasisClass, LocalSystem, SurfaceTriad, standard_local_system
 from braidhom.values import value_class
 
