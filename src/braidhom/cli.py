@@ -8,10 +8,9 @@ one output path: json (default), latex for matrix results, or plain text;
 identical configuration gives identical bytes.  Diagnostics go to stderr with a
 nonzero exit status; status 0 means none.
 
-Imports.  A call compiles and builds only what it runs: the other seven handlers
-live in `commands`, imported only when one of them is invoked, and `braidhom
-NAME ...` builds the subparser of NAME alone.  So a cold `braidhom rep` loads
-this module, `clitext`, `braid`, `ring`, `compositions` and `values`.
+Imports.  A call compiles only what it runs: the other seven handlers live in
+`commands`, imported only when one of them is invoked.  So a cold `braidhom rep`
+loads this module, `clitext`, `braid`, `ring`, `compositions` and `values`.
 """
 
 from __future__ import annotations
@@ -111,22 +110,13 @@ SUBCOMMANDS = {
 
 
 def build_parser(argv: list[str]) -> argparse.ArgumentParser:
-    """The parser of `argv`: that of its subcommand alone when argv[0] names one, else of
-    every subcommand, with flags for the invoked one only.  No top-level option takes a
-    value, so the invoked one is the first token of `argv` not starting with "-"."""
+    """Every subcommand with its help, and flags for the invoked one only: no top-level
+    option takes a value, so that is the first token of `argv` not starting with "-"."""
     invoked = next((token for token in argv if not token.startswith("-")), None)
-    return _parser(argv[:1] if argv and argv[0] in SUBCOMMANDS else list(SUBCOMMANDS), invoked)
-
-
-def _parser(names: list[str], invoked: str | None) -> argparse.ArgumentParser:
-    """The subparsers of `names`, flags for `invoked` only; with fewer than all, the
-    subcommand metavar is pinned to all of them, so top-level usage keeps its bytes."""
     parser = argparse.ArgumentParser(
         prog="braidhom", description="Exact computations with homological braid representations.")
-    metavar = None if len(names) == len(SUBCOMMANDS) else "{" + ",".join(SUBCOMMANDS) + "}"
-    sub = parser.add_subparsers(dest="subcommand", required=True, metavar=metavar)
-    for name in names:
-        help_text, handler, flags = SUBCOMMANDS[name]
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name, (help_text, handler, flags) in SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
         for flag, kwargs in flags if name == invoked else ():

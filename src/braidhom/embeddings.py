@@ -11,12 +11,12 @@ so in the fixed bases the maps are diagonal with entries prod_i [e_i]_u!.
 Injectivity reduces to those entries being non-zero-divisors, and for m > 1
 any non-unit entry witnesses that the image is a proper submodule, i.e. the
 locally finite representations are reducible.  On the disc the diagonal D
-conjugates every braid generator into the ring (`diagonal_conjugation_integrality`).
+conjugates every braid generator into the ring (`diagonal_conjugation_integrality`,
+which alone imports `braid`, inside the function).
 """
 
 from __future__ import annotations
 
-from .braid import _system, generator_matrix
 from .compositions import compositions
 from .ring import GroupRingElement, exact_divide
 from .surfaces import (BasisClass, LocalSystem, SurfaceTriad, check_homogeneity, disc_triad,
@@ -168,6 +168,8 @@ def diagonal_conjugation_integrality(n: int, m: int = 2) -> ConjugationCertifica
     check divides each entry rho_{ab} D_b by D_a exactly.  For m = 1 the
     diagonal is the identity and the answer is trivially true.
     """
+    from .braid import _system, generator_matrix
+
     system = _system(m)  # an m outside {1, 2} is refused before anything else
     diagonal = embedding_matrix(disc_triad(n, m), "in", system).diagonal
     for value in diagonal:

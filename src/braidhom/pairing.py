@@ -20,7 +20,7 @@ its r! bijections enumerated once (r at most MAX_ARC_POINTS = 9; more is a
 ValueError before any enumeration).  Summing gives prod_i [e_i]_u!, and the
 closed form via quantum factorials is kept as an independent oracle, never
 substituted for the enumeration.  Pairing invariance fixes the dual braid
-action, `dual_representation`.
+action, `dual_representation`, which alone imports `braid`, inside the function.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from __future__ import annotations
 from collections import Counter
 from itertools import combinations, permutations
 
-from .braid import BraidWord, RepMatrix, evaluate_word
 from .compositions import compositions
 from .linalg import Matrix, identity, mat_alpha, transpose
 from .ring import GroupRingElement, LaurentRing
@@ -229,6 +228,8 @@ def dual_representation(word: BraidWord, m: int, side: str = "in") -> RepMatrix:
     labels which half of the pairing carries rho and is recorded in the
     convention tag.
     """
+    from .braid import RepMatrix, evaluate_word
+
     check_side(side)
     base = evaluate_word(word.inverse(), m)
     entries = transpose(mat_alpha(base.entries))

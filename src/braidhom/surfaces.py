@@ -189,20 +189,3 @@ def quantum_factorial_product(parts, u: GroupRingElement) -> GroupRingElement:
             result = result * quantum_factorial(part, u)
     return result
 
-
-# ---------------------------------------------------------------------------
-# names that moved to `fields`
-# ---------------------------------------------------------------------------
-
-_FIELD_NAMES = frozenset({"Rationals", "IntegersModP", "ComplexApprox", "POWER_BITS_BUDGET",
-                          "POWER_CHAIN_LIMIT", "specialize_matrix", "_exponent_limit",
-                          "_is_prime", "_PRIME_BASES", "_PRIME_BOUND"})
-
-
-def __getattr__(name):
-    # PEP 562: `braidhom.ring.Rationals` and the like load `fields` on first use.
-    if name not in _FIELD_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import fields
-
-    return getattr(fields, name)

@@ -1,8 +1,6 @@
 """Tests for the command-line surface: determinism, formats, exit codes."""
 
-import contextlib
 import hashlib
-import io
 import json
 import os
 import subprocess
@@ -548,30 +546,6 @@ def test_unknown_flag_exits_with_usage(capsys):
     with pytest.raises(SystemExit) as info:
         main(["basis", "--no-such-flag"])
     assert info.value.code == 2
-
-
-def _parse(parser, argv):
-    """What parsing `argv` prints and returns: the exit code or the parsed flags."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            result = vars(parser.parse_args(argv))
-        except SystemExit as exit_:
-            result = exit_.code
-    return result, out.getvalue(), err.getvalue()
-
-
-@pytest.mark.parametrize("name", sorted(cli.SUBCOMMANDS))
-def test_the_one_subparser_parser_acts_as_the_parser_of_every_subcommand(monkeypatch, name):
-    # A call that names its subcommand first builds that subparser alone; usage, help
-    # and argparse errors must keep their bytes and exit codes.
-    monkeypatch.setenv("COLUMNS", "80")
-    required = [token for flag, kwargs in cli.SUBCOMMANDS[name][2] if kwargs.get("required")
-                for token in (flag, "1")]
-    for argv in ([name, *required, "--bogus"], [name], [name, "-h"], [name, *required, name]):
-        one, every = cli.build_parser(argv), cli._parser(list(cli.SUBCOMMANDS), name)
-        assert one.format_help() != every.format_help()  # the top-level help lists one name
-        assert _parse(one, argv) == _parse(every, argv), argv
 
 
 @pytest.mark.parametrize("argv", [

@@ -79,6 +79,18 @@ def test_plain_cold_rep_loads_its_own_path_and_never_the_other_handlers():
         "braidhom.compositions", "braidhom.values"}
 
 
+def test_pairing_and_embeddings_import_no_braid():
+    # Only `dual_representation` and the conjugation check need the braid layer,
+    # and they import it inside the function.
+    src = Path(braidhom.__file__).resolve().parents[1]
+    code = (f"import sys; sys.path.insert(0, {str(src)!r})\n"
+            "import braidhom.pairing, braidhom.embeddings\n"
+            "print(*sorted(sys.modules))\n")
+    result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                            text=True, check=True)
+    assert "braidhom.braid" not in result.stdout.split()
+
+
 def test_another_subcommand_loads_the_handlers_once_under_python_m():
     # Under `python -m braidhom.cli` the command line runs as __main__; the handler
     # module must not import it again under its own name.
@@ -106,12 +118,14 @@ MOVED_TO_FIELDS = ("Rationals", "IntegersModP", "ComplexApprox", "POWER_BITS_BUD
 
 @pytest.mark.parametrize("name", MOVED_TO_FIELDS)
 def test_a_moved_name_is_one_object_through_ring_fields_and_the_package(name):
-    # `ring` no longer resolves the names that moved to `fields`.
+    # Neither `ring` nor `surfaces` resolves the names that moved to `fields`.
     import braidhom.fields
     import braidhom.ring
+    import braidhom.surfaces
 
     value = getattr(braidhom.fields, name)
     assert not hasattr(braidhom.ring, name)
+    assert not hasattr(braidhom.surfaces, name)
     namespace = {}
     exec(f"from braidhom.fields import {name}", namespace)
     assert namespace[name] is value
