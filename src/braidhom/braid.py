@@ -69,10 +69,11 @@ generators at n <= 4 are frozen in tests/golden/generator_matrices.json.
 Column plans.  A generator moves only the points on one arc, so it leaves
 the basis vectors of every composition with no point there fixed; at n = 6 an
 LKB generator has at most 28 nonzeros out of 225.  Each letter is compiled once
-into a cached column plan (ring.plan_columns) straight from the nonzero entries
-of its local rows, with no dense matrix built; the plan leaves out every column
-whose only nonzero is a 1 in its own row: at n = 6, sigma_2 lists 12 of its 15
-columns and sigma_1 lists 9.  It equals ring.column_plan of the dense generator.
+into a cached column plan by ring.plan_rows, from its local rows as they are
+({column: nonzero entry}), with no dense matrix built; the plan leaves out
+every column whose only nonzero is a 1 in its own row: at n = 6, sigma_2 lists
+12 of its 15 columns and sigma_1 lists 9.  It equals ring.column_plan of the
+dense generator.
 evaluate_word starts from the identity, whose columns are its rows, and keeps
 the running product by columns of term maps: each letter rebuilds only the
 columns it lists and carries the rest over.  linalg.mat_mul runs the same
@@ -100,7 +101,7 @@ from __future__ import annotations
 import functools
 
 from .compositions import compositions, count
-from .ring import (GroupRingElement, apply_column_plans, identity, plan_columns,
+from .ring import (GroupRingElement, apply_column_plans, identity, plan_rows,
                    standard_local_system)
 from .values import value_class
 
@@ -254,11 +255,7 @@ def generator_matrix(n: int, i: int, m: int) -> RepMatrix:
 def _letter_plan(n: int, letter: int, m: int):
     """The column plan of the letter's matrix, from the nonzero entries of its local rows."""
     rows = _local_rows(n, letter, m)
-    columns = [[] for _ in rows]
-    for r, row in enumerate(rows):
-        for c, entry in row.items():
-            columns[c].append((r, entry.terms))
-    return plan_columns(_system(m).ring, len(rows), columns)
+    return plan_rows(_system(m).ring, rows, len(rows))
 
 
 def evaluate_word(word: BraidWord, m: int) -> RepMatrix:

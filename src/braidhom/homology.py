@@ -14,26 +14,26 @@ fields, on residues reduced mod p; with complete pivoting and a tolerance
 relative to the largest entry over complex floats.  Boundaries are sparse
 (about one entry in eight of a benchmark complex is nonzero), so a complex
 finds each row's nonzero entries once, in the pass that checks their ring,
-and keeps them in a private attribute that is not a field: equality, repr
-and `complex_to_json` see the boundaries only.  Everything after that pass
-visits only those entries, with the values and verdicts of a pass over every
-entry.  Over R a composite is decided on term maps: the first factor's
-nonzero rows are laid out by columns, as `ring.plan_term_columns` (the kernel
-of every matrix product) takes them, with no transpose, and go through the
-plan of the second factor, built from its entries (`ring.plan_columns`); the
+and keeps them as {column: element} rows in a private attribute that is not a
+field: equality, repr and `complex_to_json` see the boundaries only.
+Everything after that pass visits only those entries, with the values and
+verdicts of a pass over every entry.  Over R a composite is decided on term
+maps: the second factor's rows go to `ring.plan_rows` as they are, and the
+first factor's nonzero rows are laid out by columns from the same dicts, as
+`ring.plan_term_columns` (the kernel of every matrix product) takes them; the
 check asks only whether any result is non-empty, building no ring element.
 `homology_ranks_at` specializes the nonzero entries of every boundary in one
-`specialize_matrix` call per complex, on the ragged rows in boundary order, so
+`specialize_matrix` call per complex, on the rows' values in boundary order, so
 the boundaries share its powers and its values of one-term entries, and the
 first power past the work budget is refused as it was boundary by boundary.
-It pairs each nonzero value with its column; the float composite check (each
-composite entry a running sum of its products, relative to the largest
-entries) and `linalg.rank` read these {column: value} rows.
+It pairs each nonzero value with its column, then takes the ranks (`linalg.rank`
+refuses a non-finite value, and nothing else here does), then, over complex
+floats, checks the composites (each composite entry a running sum of its
+products, relative to the largest entries), both on these {column: value} rows.
 """
 
 from __future__ import annotations
 
-from itertools import chain
 from math import gcd
 
 from .fields import Rationals
@@ -46,7 +46,7 @@ from .ring import (
     exact_divide,
     json_list,
     matrix_text,
-    plan_columns,
+    plan_rows,
     plan_term_columns,
 )
 from .surfaces import LocalSystem, SurfaceTriad, check_homogeneity
@@ -154,24 +154,20 @@ class FiniteChainComplex:
             target, source = self._shape(i)
             if len(b) != target or any(len(row) != source for row in b):
                 raise ValueError(f"boundary {i} is not {target}x{source}")
-            nonzero.append(_nonzero_entries(self.ring, b))
-        # Each row's nonzero entries as (columns, elements), found once; not a field.
+            nonzero.append(_nonzero_rows(self.ring, b))
+        # Each row's nonzero entries as {column: element}, found once; not a field.
         object.__setattr__(self, "_nonzero", nonzero)
         for i in range(len(nonzero) - 1):
             a, b = (i, i + 1) if self.direction == "homological" else (i + 1, i)
-            rows = [(cols, elements) for cols, elements in nonzero[a] if cols]
-            if not (rows and any(cols for cols, _ in nonzero[b])):  # the composite is zero
+            rows = [row for row in nonzero[a] if row]
+            if not (rows and any(nonzero[b])):  # the composite is zero
                 continue
             height, width = self._shape(b)
             first = [[{}] * len(rows) for _ in range(height)]
-            for r, (cols, elements) in enumerate(rows):
-                for j, x in zip(cols, elements):
+            for r, row in enumerate(rows):
+                for j, x in row.items():
                     first[j][r] = x.terms
-            columns = [[] for _ in range(width)]
-            for r, (cols, elements) in enumerate(nonzero[b]):
-                for j, x in zip(cols, elements):
-                    columns[j].append((r, x.terms))
-            plan = plan_columns(self.ring, height, columns)
+            plan = plan_rows(self.ring, nonzero[b], width)
             if any(terms for col in plan_term_columns(self.ring, first, [plan]) for terms in col):
                 raise ValueError(f"boundaries {i} and {i + 1} do not compose to zero")
 
@@ -185,19 +181,18 @@ class FiniteChainComplex:
         return len(self.ranks)
 
 
-def _nonzero_entries(ring: LaurentRing, matrix: Matrix) -> list[tuple[list, list]]:
-    """Each row's nonzero entries as (their columns, the elements); ValueError on an entry
-    of another ring."""
+def _nonzero_rows(ring: LaurentRing, matrix: Matrix) -> list[dict]:
+    """Each row's nonzero entries as {column: element}; ValueError on an entry of another
+    ring."""
     rows = []
     for row in matrix:
-        columns, elements = [], []
+        entries = {}
         for j, x in enumerate(row):
             if x.ring is not ring and x.ring != ring:
                 raise ValueError(f"ring context mismatch: {ring} vs {x.ring}")
             if x.terms:
-                columns.append(j)
-                elements.append(x)
-        rows.append((columns, elements))
+                entries[j] = x
+        rows.append(entries)
     return rows
 
 
@@ -245,12 +240,14 @@ def homology_ranks_at(
     Over a field, rank H_i = ranks[i] - rank(map into i) - rank(map out of
     i), the two maps being the boundaries adjacent to degree i; which one is
     in and which is out depends on the direction, but the formula does not.
-    Over complex floats a composite of specialized boundaries beyond tolerance
-    times the largest entries of its factors is a ValueError.  Each composite
-    entry sums only the products of two nonzero entries, in ascending inner
-    index: a product with an exact zero is a zero, and adding it changes a
-    finite sum at most in the sign of a zero part, which `abs` does not see, so
-    the verdict is the one a sum over every index gives.
+    The ranks come first, so a non-finite specialized value is refused by
+    `rank`, whatever the composites.  Then, over complex floats, a composite
+    of specialized boundaries beyond tolerance times the largest entries of
+    its factors is a ValueError.  Each composite entry sums only the products
+    of two nonzero entries, in ascending inner index: a product with an exact
+    zero is a zero, and adding it changes a finite sum at most in the sign of
+    a zero part, which `abs` does not see, so the verdict is the one a sum
+    over every index gives.
     """
     k = point.field
     assignments = point.mapping
@@ -258,12 +255,13 @@ def homology_ranks_at(
     if missing:
         raise ValueError(f"unassigned variables: {sorted(missing)}")
     values = iter(specialize_matrix(
-        [elements for rows in cpx._nonzero for _, elements in rows], assignments, k))
+        [row.values() for rows in cpx._nonzero for row in rows], assignments, k))
     # each boundary as maps from column to nonzero value, one per row
-    specialized = [[{j: v for j, v in zip(cols, next(values)) if v}
-                    for cols, _ in rows] for rows in cpx._nonzero]
+    specialized = [[{j: v for j, v in zip(row, next(values)) if v} for row in rows]
+                   for rows in cpx._nonzero]
+    boundary_ranks = [rank(rows, k) for rows in specialized]  # refuses non-finite values
     if not k.is_exact:
-        # Rounding could make a composite drift from zero; refuse to count
+        # Rounding could make a composite drift from zero; refuse to report
         # ranks of something that is no longer a complex.  Like `rank`, the
         # test is relative: to the largest entries of the two factors.
         for i in range(len(specialized) - 1):
@@ -272,7 +270,8 @@ def homology_ranks_at(
                 a, b = b, a
             if not a or not b:
                 continue
-            scale = _largest(a) * _largest(b)
+            scale = (max((abs(v) for row in a for v in row.values()), default=0.0)
+                     * max((abs(v) for row in b for v in row.values()), default=0.0))
             for row in a:
                 sums = {}  # column -> the sum of its nonzero products, in index order
                 for inner, x in row.items():
@@ -281,21 +280,12 @@ def homology_ranks_at(
                 if any(abs(s) > k.tolerance * scale for s in sums.values()):
                     raise ValueError(
                         f"specialized boundaries {i}, {i + 1} no longer compose to zero")
-    boundary_ranks = [rank(values, k) for values in specialized]
     out = []
     for degree in range(cpx.degrees):
         below = boundary_ranks[degree - 1] if degree >= 1 else 0
         above = boundary_ranks[degree] if degree < len(boundary_ranks) else 0
         out.append(cpx.ranks[degree] - below - above)
     return tuple(out)
-
-
-def _largest(rows: list[dict]):
-    """The largest |entry| of a matrix held as maps of its nonzero entries, as `max` reads
-    it over every entry in row order: from 0.0 when the first entry is zero, which a later
-    nan cannot replace."""
-    first = () if 0 in rows[0] else (0.0,)
-    return max(chain(first, (abs(v) for row in rows for v in row.values())))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ Matrices are immutable tuples of tuples of GroupRingElement, checked for one
 ring once per matrix.  `mat_mul` refuses ragged factors, compiles the right one
 into a column plan and applies it (`ring.column_plan`, `ring.apply_column_plans`),
 the kernel that braid words and the braid relations use with cached plans and
-that chain complexes run on term maps for their composite check; the
+that chain complexes run on term maps for their composite check; every plan is
+compiled by `ring.plan_rows` from {column: element} rows, and the
 `apply_column_plans` docstring states the term order every product keeps.
 Fraction-free inversion updates each entry with the ring's `*` and `+`; the tests
 keep it as the oracle of the braid layer's closed-form inverses.
@@ -19,8 +20,9 @@ Specialized matrices are lists of
 field values, and `rank` is the one Gaussian elimination over them, for every
 field: on integer rows over Q (each cleared of denominators and divided by its
 content), on residues mod p over F_p, on floats under complex-approx.  Its
-rows may also be maps from column to nonzero value, which is how chain
-complexes pass them.
+rows are sequences of one length or maps from column to nonzero value, which is
+how chain complexes pass them; `homology_ranks_at` leaves the refusal of a
+non-finite value to it.
 """
 
 from __future__ import annotations

@@ -12,12 +12,14 @@ with several terms, result exponents too).  Arithmetic is exact while exponents 
 within +-(2^63 - 1); `*` raises ValueError for a product that would leave that range,
 while the column plans that every matrix product goes through trust their inputs and
 keep the term order stated in `apply_column_plans`.  A product with a one-term factor
-is one shift and scale.  The plan kernel holds a matrix by columns, as lists of term
-maps: it carries over the columns a plan leaves out and decides each entry's kind once
-per column, not per row; over Z and Q products and merges run with Python's operators
-inline.  Other modules see exponents as tuples (`coefficient`, `support`, `items`).  No
-code mutates an element's term map after construction, so elements and term maps are
-shared freely.
+is one shift and scale.  One function compiles plans, `plan_rows`, from a matrix's rows
+as {column: nonzero element}, the sparse form braid letters and chain complexes keep
+(`column_plan` is it on a dense matrix).  The plan kernel holds a matrix by columns, as
+lists of term maps: it carries over the columns a plan leaves out and decides each
+entry's kind once per column, not per row; over Z and Q products and merges run with
+Python's operators inline.  Other modules see exponents as tuples (`coefficient`,
+`support`, `items`).  No code mutates an element's term map after construction, so
+elements and term maps are shared freely.
 
 Supported coefficient rings k: the integers, defined here, and in `fields` the
 rationals, the integers mod a prime and tolerance-based complex floats.  One
@@ -661,18 +663,16 @@ def matrix_width(matrix) -> int:
 
 
 def column_plan(matrix) -> tuple:
-    """Compile a matrix, with at least one row and column, for `apply_column_plans`.
-
-    The matrix's columns go to `plan_columns`, each as its nonzero entries (ValueError if ragged).
-    """
-    matrix_width(matrix)
-    columns = [[(i, x.terms) for i, x in enumerate(col) if x.terms] for col in zip(*matrix)]
-    return plan_columns(matrix[0][0].ring, len(matrix), columns)
+    """`plan_rows` of a matrix with at least one row and column (ValueError if ragged)."""
+    width = matrix_width(matrix)
+    return plan_rows(matrix[0][0].ring, [{j: x for j, x in enumerate(row) if x.terms}
+                                         for row in matrix], width)
 
 
-def plan_columns(ring: LaurentRing, height: int, columns: list) -> tuple:
-    """The column plan of a `height`-row matrix given as `columns`: for each column,
-    its nonzero entries as (row, term map) in ascending row order.
+def plan_rows(ring: LaurentRing, rows: list, width: int) -> tuple:
+    """The column plan of the `width`-column matrix whose rows are `rows`, each given as
+    {column: element} over its nonzero entries: the one compiler of plans, for dense
+    matrices (`column_plan`), braid letters and chain-complex composites.
 
     The plan is (ring, number of rows, number of columns, columns); a column is
     (index, entries) and lists its nonzero entries in ascending row order, each
@@ -685,6 +685,10 @@ def plan_columns(ring: LaurentRing, height: int, columns: list) -> tuple:
     Over F_p (which reduces mod p) and complex-approx (where a product with 1
     turns a -0.0 imaginary part into 0.0) every column is listed, as products.
     """
+    columns = [[] for _ in range(width)]
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            columns[j].append((i, x.terms))
     native = _native(ring.coefficients)
     planned = []
     for j, entries in enumerate(columns):
@@ -695,7 +699,7 @@ def plan_columns(ring: LaurentRing, height: int, columns: list) -> tuple:
             if native and len(g) == 1 and (term := next(iter(g.items())))[1] in (1, -1)
             else (i, 0, 1, g) for i, g in entries
         ])))
-    return ring, height, len(columns), tuple(planned)
+    return ring, len(rows), width, tuple(planned)
 
 
 def apply_column_plans(start, plans) -> tuple[tuple[GroupRingElement, ...], ...]:
@@ -800,7 +804,7 @@ def exact_divide(f: GroupRingElement, g: GroupRingElement) -> GroupRingElement |
     divide exactly, since the remainder stays a multiple of g.
     """
     if f.ring is not g.ring and f.ring != g.ring:
-        raise ValueError("ring context mismatch")
+        raise ValueError(f"ring context mismatch: {f.ring} vs {g.ring}")
     k = f.ring.coefficients
     if not k.is_exact:
         raise ValueError(f"exact division is not supported over {k.name} coefficients")

@@ -576,6 +576,17 @@ def test_each_verify_check_holds(name, check):
     assert check() is None
 
 
+def test_embedding_diagonal_check_sees_a_wrong_quantum_factorial(monkeypatch):
+    """[2]_u! multiplied by u changes the embedding diagonal but not the geometric
+    pairing the check compares it with."""
+    from braidhom import surfaces
+
+    factorial = surfaces.quantum_factorial
+    monkeypatch.setattr(surfaces, "quantum_factorial",
+                        lambda n, u: factorial(n, u) * u if n == 2 else factorial(n, u))
+    assert checks._check_embedding_diagonal() == "e=(2, 0)"
+
+
 def test_verify_reports_a_failing_check(capsys, monkeypatch):
     failing = tuple(
         (name, (lambda: "boom") if name == "braid-relations" else check)

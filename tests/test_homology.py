@@ -155,6 +155,25 @@ def test_one_specialization_per_complex_refuses_the_first_power_past_the_budget(
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("direction", ["homological", "cohomological"])
+@pytest.mark.parametrize("row", [0, 1])
+def test_a_non_finite_specialized_value_is_refused_by_rank(direction, row):
+    """x^3 - x^2 at x = 1e200 is nan, in the given row of boundary 0; ranks come before
+    the composite check, so `rank` refuses it whatever the composite check would say."""
+    ring = LaurentRing(1, Integers(), ("x",))
+    z, o, f = ring.zero, ring.one, ring.var("x") ** 3 - ring.var("x") ** 2
+    first = tuple((f if r == row else z, z) for r in range(2))
+    if direction == "homological":  # first * second = 0: f meets the 0 of second
+        second = ((z,), (o,))
+    else:  # second * first = 0: the 1 of second meets the zero row of first
+        second = ((o, z) if row else (z, o),)
+    cpx = FiniteChainComplex(ring, (2, 2, 1), (first, second), direction)
+    point = SpecializationPoint({"x": 1e200 + 0j}, ComplexApprox())
+    with pytest.raises(ValueError) as refusal:
+        homology_ranks_at(cpx, point)
+    assert str(refusal.value) == "cannot take the rank of a matrix with non-finite entries"
+
+
 def test_homology_ranks_zero_maps():
     ring = LaurentRing(1, Rationals(), ("x",))
     z = ring.zero

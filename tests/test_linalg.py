@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
-from braidhom import braid
+from braidhom import braid, homology
 from braidhom.fields import (
     POWER_BITS_BUDGET,
     POWER_CHAIN_LIMIT,
@@ -31,7 +31,8 @@ from braidhom.linalg import (
     specialize_matrix,
     transpose,
 )
-from braidhom.ring import Integers, LaurentRing, apply_column_plans, column_plan
+from braidhom.homology import FiniteChainComplex
+from braidhom.ring import Integers, LaurentRing, apply_column_plans, column_plan, plan_rows
 
 ZZ = LaurentRing(2, Integers(), ("x", "d"))
 X, D = ZZ.var("x"), ZZ.var("d")
@@ -225,13 +226,32 @@ def plan_case(ring, name):
 @example(plan_case(QQ, "tall"))
 @example(plan_case(QQ, "cancel"))
 def test_column_plans_match_mat_mul(case):
-    """Plans, one and chained, against the reference product (mat_mul is the plans)."""
+    """Plans, one and chained, against the reference product (mat_mul is the plans); and a
+    chain complex with boundaries a and b, in both directions, plans b from its cached
+    rows as `column_plan` does and refuses exactly when the product is not zero."""
     a, b, third = case
     product, expected = apply_column_plans(a, [column_plan(b)]), reference_mat_mul(a, b)
     assert product == expected
     assert _term_lists(product) == _term_lists(expected)
     chained = apply_column_plans(a, [column_plan(b), column_plan(third)])
     assert _term_lists(chained) == _term_lists(reference_mat_mul(expected, third))
+    planned = ([repr(column_plan(b))] if any(x.terms for row in a for x in row)
+               and any(x.terms for row in b for x in row) else [])
+    composes = all(x.is_zero() for row in expected for x in row)
+    ring, rows, inner, cols = a[0][0].ring, len(a), len(b), len(b[0])
+    for direction, boundaries, ranks in (("homological", (a, b), (rows, inner, cols)),
+                                         ("cohomological", (b, a), (cols, inner, rows))):
+        plans = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(homology, "plan_rows",
+                          lambda *args: plans.append(plan_rows(*args)) or plans[-1])
+            try:
+                FiniteChainComplex(ring, ranks, boundaries, direction)
+                assert composes
+            except ValueError as refusal:
+                assert not composes
+                assert str(refusal) == "boundaries 0 and 1 do not compose to zero"
+        assert [repr(plan) for plan in plans] == planned
 
 
 def _assert_two_entry_kinds(matrix):

@@ -236,6 +236,13 @@ def test_exact_divide_over_finite_fields():
     assert q is not None and q * (x + 2) == f
 
 
+def test_exact_divide_names_both_rings_it_refuses():
+    other = LaurentRing(2, Rationals(), ("x", "d"))
+    with pytest.raises(ValueError) as refusal:
+        exact_divide(ZZ.var("x"), other.var("x"))
+    assert str(refusal.value) == f"ring context mismatch: {ZZ} vs {other}"
+
+
 def test_prime_moduli_agree_with_trial_division():
     for p in range(-2, 10**4):
         trial = p >= 2 and all(p % q for q in range(2, math.isqrt(p) + 1))
