@@ -76,10 +76,14 @@ every column whose only nonzero is a 1 in its own row: at n = 6, sigma_2 lists
 dense generator.
 evaluate_word starts from the identity, whose columns are its rows, and keeps
 the running product by columns of term maps: each letter rebuilds only the
-columns it lists and carries the rest over.  linalg.mat_mul runs the same
-kernel, so a word's entries keep the term order of a fold of mat_mul (the rule
-is in ring.apply_column_plans) and specializations do not change.  Both sides
-of the braid relations go through it too.
+columns it lists and carries the rest over.  A column whose first entry is
++-x^e shares the rows of its source column under a frame (a shift of every key
+and a sign), so it costs no per-row work; the kernel copies a shared map just
+before it merges a later entry into it, so neither the identity's shared one nor
+a cached plan or table entry ever changes, and applies the frames once at the end.
+linalg.mat_mul runs the same kernel, so a word's entries keep the term order of
+a fold of mat_mul (the rule is in ring.apply_column_plans) and specializations
+do not change.  Both sides of the braid relations go through it too.
 
 Imports.  A cold `braidhom rep` loads this module, ring, compositions and values
 only: the identity, the standard local system and the column-plan kernel come

@@ -17,9 +17,14 @@ as {column: nonzero element}, the sparse form braid letters and chain complexes 
 (`column_plan` is it on a dense matrix).  The plan kernel holds a matrix by columns, as
 lists of term maps: it carries over the columns a plan leaves out and decides each
 entry's kind once per column, not per row; over Z and Q products and merges run with
-Python's operators inline.  Other modules see exponents as tuples (`coefficient`,
-`support`, `items`).  No code mutates an element's term map after construction, so
-elements and term maps are shared freely.
+Python's operators inline.  Each column has a frame (offset, sign), +-1: its true maps
+are its stored maps with keys shifted by the packed key `offset` and values times
+`sign`.  A column whose first entry is +-x^e shares its source's maps under a shifted
+frame, with no per-row work; later entries merge into it translated into its frame,
+and a shared map is copied just before the first merge into it (copy before merge).
+Frames are applied once, when the kernel returns.  Other modules see exponents as
+tuples (`coefficient`, `support`, `items`).  No code mutates an element's term map
+after construction, so elements and term maps are shared freely.
 
 Supported coefficient rings k: the integers, defined here, and in `fields` the
 rationals, the integers mod a prime and tolerance-based complex floats.  One
@@ -709,7 +714,10 @@ def apply_column_plans(start, plans) -> tuple[tuple[GroupRingElement, ...], ...]
     Term order: an entry's products arrive in ascending inner index, and the first
     nonempty one becomes its accumulator (the rest merge by `_accumulate`), so an
     entry has the terms, in dict order, of the ring operators' sum, on which float
-    specializations depend.  An entry with no terms is a zero shared within the call.
+    specializations depend.  The kernel's column frames (a shift of every key and a
+    sign) are bijections applied to whole maps, so they keep this order; it copies a
+    shared map before it merges into it, so no map of `start` or of a plan changes.
+    An entry with no terms is a zero shared within the call.
     """
     ring = start[0][0].ring
     matrix_width(start)
@@ -723,15 +731,29 @@ def plan_term_columns(ring: LaurentRing, columns: list, plans) -> list:
     """The kernel of `apply_column_plans`: `columns` (at least one, each a list of term
     maps of `ring`, one per row) times the plans; returns the product's columns.
 
-    A column the plan leaves out is carried over as the same list.  A listed one is
-    built entry by entry: an entry's kind (+-x^shift, or a product by `_product`) is
-    decided once, then one loop runs down its source column.  The first entry lands
-    in one comprehension; a later one lands on empty accumulators and merges into
-    the rest in place (inline over Z and Q, else by `_accumulate`).  Result maps may
-    be maps of `columns`.
+    Every column has a frame (offset, sign): its true maps are its stored maps with
+    every key shifted by the packed key `offset` and every value multiplied by `sign`
+    (+-1).  Input columns, and columns over F_p and complex-approx (whose plans hold
+    no shifts), stay in frame (0, 1).  A column the plan leaves out is carried over
+    as the same list, in its frame.  A listed one is built entry by entry, each
+    entry's kind (+-x^shift, or a product by `_product`) decided once.  A first entry
+    +-x^shift shares its source's list under the frame (source offset + shift,
+    source sign * c), with no per-row work; a first product lands row by row in its
+    source's frame.  A later entry merges into the column's stored maps translated by
+    its frame offset + shift - the column's offset, with coefficient its sign * c *
+    the column's sign (inline over Z and Q, else by `_accumulate`); a product factor
+    is translated so before `_product`, and on an empty accumulator a row lands as a
+    new map.  Copy before merge: a shared list is copied before the first merge into
+    the column, and a shared map just before the first merge into it, so no map of
+    `columns`, of a plan or of an earlier product is changed.  Translation and sign
+    are bijections on whole maps, so each map sees the inserts and deletes, values
+    and types of the product taken without frames.  Frames are applied once, one
+    column at a time, when the kernel returns; a column in frame (0, 1) is returned
+    as it is.  Result maps may be maps of `columns`.
     """
     k = ring.coefficients
     native = _native(k)
+    frames = [(0, 1)] * len(columns)
     for plan_ring, height, width, planned in plans:
         if plan_ring is not ring and plan_ring != ring:
             raise ValueError(f"ring context mismatch: {ring} vs {plan_ring}")
@@ -739,52 +761,74 @@ def plan_term_columns(ring: LaurentRing, columns: list, plans) -> list:
             raise ValueError(f"shape mismatch: {len(columns)} columns times {height} rows")
         empty = [{}] * len(columns[0])
         out = columns[:width] + [empty] * (width - height)
+        out_frames = frames[:width] + [(0, 1)] * (width - height)
         for j, entries in planned:
-            out[j] = acc = empty
+            acc, offset, sign = empty, 0, 1
+            shared = empty  # the source list whose maps acc may still share
             for i, shift, c, g in entries:
                 src = columns[i]
-                if acc is empty:  # the first entry
-                    out[j] = acc = (
-                        [_product(k, f, g, native) if f else f for f in src] if g is not None
-                        else [f.copy() if f else f for f in src] if c == 1 and not shift
-                        else [{e + shift: v for e, v in f.items()} if f else f for f in src]
-                        if c == 1 else
-                        [{e + shift: -v for e, v in f.items()} if f else f for f in src])
-                elif g is not None and not native:
+                src_offset, src_sign = frames[i]
+                if c != 1:  # -x^shift; c is -1 or, over Q, Fraction(-1): signs stay ints
+                    src_sign = -src_sign
+                if acc is empty:  # the first entry (a product's shift is 0)
+                    offset, sign = src_offset + shift, src_sign
+                    if g is None:
+                        acc = shared = src
+                    else:
+                        acc = [_product(k, f, g, native) if f else f for f in src]
+                    continue
+                if acc is shared:
+                    acc = acc.copy()
+                if g is not None and not native:
                     for r, f in enumerate(src):
                         if f:
                             product = _product(k, f, g)
                             acc[r] = _accumulate(k, acc[r], product) if acc[r] else product
-                elif g is not None or c == 1 and not shift:  # over Z and Q: a product, or 1
-                    if g is not None:
-                        src = [_product(k, f, g, True) if f else f for f in src]
+                    continue
+                delta, c = src_offset + shift - offset, src_sign * sign
+                if g is not None:  # over Z and Q: a product, landing in the column's frame
+                    if delta or c != 1:
+                        g = {e + delta: c * v for e, v in g.items()}
+                    src = [_product(k, f, g, True) if f else f for f in src]
+                    delta, c = 0, 1
+                if not delta and c == 1:
                     for r, f in enumerate(src):
                         if f:
                             a = acc[r]
                             if not a:
                                 acc[r] = f.copy()
                                 continue
+                            if a is shared[r]:
+                                a = acc[r] = a.copy()
                             for e, v in f.items():
                                 s = a.get(e, 0) + v
                                 if s:
                                     a[e] = s
                                 else:
                                     del a[e]
-                else:  # a shift by +-x^shift
+                else:  # a shift by +-x^shift, translated into the column's frame
                     for r, f in enumerate(src):
                         if f:
                             a = acc[r]
                             if not a:
-                                acc[r] = {e + shift: c * v for e, v in f.items()}
+                                acc[r] = {e + delta: c * v for e, v in f.items()}
                                 continue
+                            if a is shared[r]:
+                                a = acc[r] = a.copy()
                             for e, v in f.items():
-                                e += shift
+                                e += delta
                                 s = a.get(e, 0) + c * v
                                 if s:
                                     a[e] = s
                                 else:
                                     del a[e]
-        columns = out
+            out[j], out_frames[j] = acc, (offset, sign)
+        columns, frames = out, out_frames
+    for j, (offset, sign) in enumerate(frames):
+        if offset or sign != 1:
+            columns[j] = ([{e + offset: v for e, v in f.items()} if f else f for f in columns[j]]
+                          if sign == 1 else
+                          [{e + offset: -v for e, v in f.items()} if f else f for f in columns[j]])
     return columns
 
 

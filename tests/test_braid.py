@@ -338,6 +338,31 @@ def test_evaluate_word_matches_the_mat_mul_fold(case):
     assert mat_eq(pairing, identity(rho.ring, rho.size))
 
 
+@settings(max_examples=60, deadline=None)
+@given(_words())
+@example((2, BraidWord(4, (1, 2, 1, -3, 2))))
+@example((1, BraidWord(6, (2, 3, 1, 2, -4, 3))))
+def test_evaluate_word_changes_no_map_it_shares(case):
+    """A word's product changes no map of the identity it starts from (whose diagonal
+    shares one `one`), of a cached letter plan or of a cached table entry; the plan
+    kernel copies a shared map before it merges into it."""
+    m, word = case
+    n, letters = word.n, sorted(set(word.letters))
+    maps = [g for letter in letters for _, col in braid._letter_plan(n, letter, m)[3]
+            for _, _, _, g in col if g is not None]
+    maps += [x.terms for letter in letters for row in braid._local_rows(n, letter, m)
+             for x in row.values()]
+    before = [repr(list(g.items())) for g in maps]
+    starts = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(braid, "identity", lambda *args: starts.append(identity(*args)) or starts[-1])
+        evaluate_word(word, m)
+    (start,) = starts
+    assert [repr(list(g.items())) for g in maps] == before
+    assert all(x.terms == ({0: 1} if i == j else {})
+               for i, row in enumerate(start) for j, x in enumerate(row))
+
+
 def test_word_times_inverse_is_the_identity():
     rng = random.Random(5)
     for m in (1, 2):

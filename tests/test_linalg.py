@@ -228,8 +228,10 @@ def plan_case(ring, name):
 def test_column_plans_match_mat_mul(case):
     """Plans, one and chained, against the reference product (mat_mul is the plans); and a
     chain complex with boundaries a and b, in both directions, plans b from its cached
-    rows as `column_plan` does and refuses exactly when the product is not zero."""
+    rows as `column_plan` does and refuses exactly when the product is not zero.  None of
+    it changes a map of a, b or third: the factors, the plans' maps, the boundaries."""
     a, b, third = case
+    given_maps = [_term_lists(matrix) for matrix in case]
     product, expected = apply_column_plans(a, [column_plan(b)]), reference_mat_mul(a, b)
     assert product == expected
     assert _term_lists(product) == _term_lists(expected)
@@ -252,6 +254,65 @@ def test_column_plans_match_mat_mul(case):
                 assert not composes
                 assert str(refusal) == "boundaries 0 and 1 do not compose to zero"
         assert [repr(plan) for plan in plans] == planned
+    assert [_term_lists(matrix) for matrix in case] == given_maps
+
+
+def _signed_monomial_matrices(ring, size):
+    """Square matrices with one nonzero per row and column, each 1, -1, -x, -d or x^-1*d."""
+    entry = st.sampled_from([ring.one, -ring.one, -ring.var("x"), -ring.var("d"),
+                             ring.monomial((-1, 1))])
+    return st.tuples(st.permutations(range(size)), st.lists(entry, min_size=size,
+                                                            max_size=size)).map(
+        lambda drawn: as_matrix([[x if c == p else ring.zero for c in range(size)]
+                                 for p, x in zip(*drawn)]))
+
+
+@st.composite
+def signed_chains(draw):
+    """(ring, start, factors): a chain of at least three signed monomial matrices, some
+    with a second entry (1, -1 or any element) in a column, and some with the "cancel"
+    shapes of PLAN_CASES around them."""
+    ring = draw(st.sampled_from([ZZ, QQ, F7, CC]))
+    size = draw(st.integers(1, 4))
+    factors = list(draw(st.lists(_signed_monomial_matrices(ring, size), min_size=3, max_size=6)))
+    for f, factor in enumerate(factors):
+        if size > 1 and draw(st.booleans()):
+            r, c = draw(st.integers(0, size - 1)), draw(st.integers(0, size - 1))
+            extra = draw(st.sampled_from([ring.one, -ring.one]) | matrices(ring, 1, 1).map(
+                lambda m: m[0][0]))
+            factors[f] = as_matrix([[extra if (i, j) == (r, c) and not x.terms else x
+                                     for j, x in enumerate(row)] for i, row in enumerate(factor)])
+    start = draw(matrices(ring, draw(st.integers(1, 3)), size))
+    if ring in (ZZ, QQ) and size == 3 and draw(st.booleans()):
+        a, b, third = plan_case(ring, "cancel")
+        start, factors = a, factors[:2] + [b] + factors[2:] + [third, as_matrix([[-ring.one]])]
+    return ring, start, factors
+
+
+@settings(max_examples=150, deadline=None)
+@given(signed_chains())
+@example((ZZ, as_matrix([[X, D - 1]]), [as_matrix([[-ZZ.one, ZZ.zero], [ZZ.zero, -X]])] * 4))
+@example((QQ, as_matrix([[QQ.var("x") + 1, QQ.one]]),
+          [as_matrix([[QQ.zero, -QQ.one], [-QQ.var("d"), QQ.zero]])] * 3))
+@example((ZZ, plan_case(ZZ, "cancel")[0],
+          [as_matrix([[ZZ.zero, -X, ZZ.zero], [ZZ.monomial((-1, 1)), ZZ.zero, ZZ.zero],
+                      [ZZ.zero, ZZ.zero, -ZZ.one]])] * 3 + list(plan_case(ZZ, "cancel")[1:])))
+def test_frames_compose_along_chains_of_signed_monomial_matrices(case):
+    """Over ZZ and QQ a column whose first entry is +-x^e shares its source's rows under
+    a frame (offset, sign), so along a chain frames compose: a sign of -1 applied twice,
+    a column sharing the rows of a column that shares rows, and a later entry landing
+    on an accumulator its first entries emptied (the "cancel" shapes).  The chained
+    product has the term lists of the fold of `reference_mat_mul`.  Over F7 and CC every
+    planned entry is a full product (row, 0, 1, map), so every frame stays (0, 1)."""
+    ring, start, factors = case
+    plans = [column_plan(factor) for factor in factors]
+    expected = start
+    for factor in factors:
+        expected = reference_mat_mul(expected, factor)
+    assert _term_lists(apply_column_plans(start, plans)) == _term_lists(expected)
+    if ring in (F7, CC):
+        assert all((shift, c) == (0, 1) and g is not None
+                   for plan in plans for _, col in plan[3] for _, shift, c, g in col)
 
 
 def _assert_two_entry_kinds(matrix):
